@@ -194,9 +194,16 @@ def constrained_mst_prim(
     return SpanningTree.from_edge_ids(g, chosen)
 
 
-def tree_total_weight(t: SpanningTree, g: WeaklyDynamicGraph) -> float:
-    """Cached stable sum plus the current weights of unstable members."""
+def tree_total_weight(
+    t: SpanningTree, g: WeaklyDynamicGraph, exclude: int | None = None
+) -> float:
+    """Cached stable sum plus the current weights of unstable members but ``exclude``.
+
+    Added in ascending id order, never subtracting: that keeps integer weights
+    exact, and the plan-file loader relies on bit-equal totals.
+    """
     total = t.stable_sum
     for eid in sorted(t.unstable_members):
-        total += g.edges[eid].weight
+        if eid != exclude:
+            total += g.edges[eid].weight
     return total

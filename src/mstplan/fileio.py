@@ -39,7 +39,7 @@ from .graph import (
     unstable_values,
 )
 from .plans import EdgePlan, PlanSet
-from .constrained import SpanningTree
+from .constrained import SpanningTree, tree_total_weight
 
 
 def format_value(value: float) -> str:
@@ -251,11 +251,11 @@ def _decode_plan(record, g: WeaklyDynamicGraph, snapshot: dict) -> EdgePlan:
         mst_s = _decode_tree(record["mst_s"], g, edge_id, "mst_s")
         if edge_id in mst_s.edge_ids:
             raise PlanFormatError(f"edge {edge_id}: mst_s must avoid the edge itself")
-        if _total_at_current(mst_s, g, exclude=None) != d_s:
+        if tree_total_weight(mst_s, g) != d_s:
             raise PlanFormatError(
                 f"edge {edge_id}: d_s disagrees with mst_s at current weights"
             )
-    if _total_at_current(mst_v, g, exclude=edge_id) != s_v:
+    if tree_total_weight(mst_v, g, exclude=edge_id) != s_v:
         raise PlanFormatError(
             f"edge {edge_id}: s_v disagrees with mst_v at current weights"
         )
@@ -305,15 +305,6 @@ def _decode_tree(ids, g: WeaklyDynamicGraph, edge_id: int, key: str) -> Spanning
     if dsu.components != 1:
         raise PlanFormatError(f"edge {edge_id}: {key} does not span the graph")
     return SpanningTree.from_edge_ids(g, ids)
-
-
-def _total_at_current(t: SpanningTree, g: WeaklyDynamicGraph, exclude: int | None) -> float:
-    # Mirrors the precompute summation order so agreement is bit-exact.
-    total = t.stable_sum
-    for eid in sorted(t.unstable_members):
-        if eid != exclude:
-            total += g.edges[eid].weight
-    return total
 
 
 def _decode_frozen(mapping, edge_id: int, snapshot: dict) -> dict[int, float]:

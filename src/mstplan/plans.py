@@ -8,11 +8,17 @@ The crossover sits at ``cv = d_s - s_v``. Both trees and the threshold are
 computed once; after that, any new value of ``x`` is answered by a single
 comparison with no graph work at all.
 
+Both trees come from the graph's minimum spanning tree (ties broken by edge
+id, so it is unique). If the edge is in it, that tree is ``mst_v`` and
+``mst_s`` swaps the edge for its lightest replacement; otherwise that tree is
+``mst_s`` and ``mst_v`` swaps the edge in for the heaviest edge on the cycle
+it closes. Each swap is one constrained Kruskal.
+
 With several unstable edges, one plan is kept per edge, each computed with
 the *other* unstable edges frozen at their snapshot values. Under the
 one-change-at-a-time contract the plan for the changed edge is exact at the
 moment of the change; all plans are then rebuilt so the next change is exact
-too.
+too. They all freeze one snapshot, so a rebuild is one minimum spanning tree.
 
 Plans and plan sets are immutable once built. Selection is read-only and may
 run concurrently with a rebuild as long as the rebuilt plan set is published
@@ -29,10 +35,9 @@ from typing import Mapping, NamedTuple
 from .constrained import (
     Constraints,
     Infeasible,
-    OptimizationSense,
     SpanningTree,
     constrained_mst_kruskal,
-    constrained_mst_prim,
+    tree_total_weight,
 )
 from .errors import (
     Error,
@@ -110,10 +115,38 @@ def _frozen_view(
         return g
     view = g.copy()
     for eid, value in frozen.items():
-        if not math.isfinite(value):
-            raise NonFiniteWeightError(f"frozen value for edge {eid}: {value!r}")
         set_unstable_weight(view, eid, value)
     return view
+
+
+def _swap_plan(
+    g: WeaklyDynamicGraph, mst: SpanningTree, edge_id: int, frozen: Mapping[int, float]
+) -> EdgePlan:
+    """Plan for ``edge_id``: ``mst``, the minimum spanning tree of ``g``, is
+    one of its trees, and one edge swap gives the other."""
+    if edge_id in mst.edge_ids:
+        mst_v = mst
+        avoiding = constrained_mst_kruskal(
+            g, Constraints(mandatory=mst.edge_ids - {edge_id}, forbidden={edge_id})
+        )
+        mst_s = None if isinstance(avoiding, Infeasible) else avoiding  # bridge
+    else:
+        mst_s = mst
+        outside = set(range(g.num_edges)) - mst.edge_ids - {edge_id}
+        mst_v = constrained_mst_kruskal(
+            g, Constraints(mandatory={edge_id}, forbidden=outside)
+        )
+    d_s = math.inf if mst_s is None else tree_total_weight(mst_s, g)
+    s_v = tree_total_weight(mst_v, g, exclude=edge_id)
+    return EdgePlan(
+        edge_id=edge_id,
+        mst_s=mst_s,
+        d_s=d_s,
+        mst_v=mst_v,
+        s_v=s_v,
+        cv=d_s - s_v,
+        frozen_others=dict(frozen),
+    )
 
 
 def precompute_plan(
@@ -129,41 +162,7 @@ def precompute_plan(
     if e.kind is not EdgeKind.UNSTABLE:
         raise NotUnstableError(f"edge {edge_id} is stable; plans cover unstable edges")
     view = _frozen_view(g, edge_id, frozen)
-
-    avoiding = constrained_mst_kruskal(
-        view, Constraints(forbidden=frozenset({edge_id}))
-    )
-    if isinstance(avoiding, Infeasible):
-        mst_s, d_s = None, math.inf
-    else:
-        mst_s = avoiding
-        d_s = _total_at_frozen(avoiding, view, exclude=None)
-
-    containing = constrained_mst_prim(view, edge_id)
-    if isinstance(containing, Infeasible):  # full graph is connected
-        raise Error(f"no spanning tree contains edge {edge_id}; graph corrupt")
-    s_v = _total_at_frozen(containing, view, exclude=edge_id)
-
-    return EdgePlan(
-        edge_id=edge_id,
-        mst_s=mst_s,
-        d_s=d_s,
-        mst_v=containing,
-        s_v=s_v,
-        cv=d_s - s_v,
-        frozen_others=dict(frozen),
-    )
-
-
-def _total_at_frozen(
-    t: SpanningTree, view: WeaklyDynamicGraph, exclude: int | None
-) -> float:
-    # Sum in ascending id order; never subtract, so integer fixtures stay exact.
-    total = t.stable_sum
-    for eid in sorted(t.unstable_members):
-        if eid != exclude:
-            total += view.edges[eid].weight
-    return total
+    return _swap_plan(view, constrained_mst_kruskal(view), edge_id, frozen)
 
 
 def select_tree(plan: EdgePlan, x: float) -> Selection:
@@ -184,12 +183,13 @@ def select_tree(plan: EdgePlan, x: float) -> Selection:
 
 
 def precompute_all(g: WeaklyDynamicGraph) -> PlanSet:
-    """One plan per unstable edge, each freezing the others at current values."""
+    """One plan per unstable edge: one minimum spanning tree, then one swap each."""
     snapshot = unstable_values(g)
+    mst = constrained_mst_kruskal(g)
     plans = {}
     for eid in g.unstable_ids:
         frozen = {k: v for k, v in snapshot.items() if k != eid}
-        plans[eid] = precompute_plan(g, eid, frozen)
+        plans[eid] = _swap_plan(g, mst, eid, frozen)
     return PlanSet(plans=plans, snapshot=snapshot)
 
 
@@ -200,11 +200,10 @@ def apply_change(
 
     The immediate answer comes from the existing plan for ``edge_id``, which
     is exact because every other unstable edge still holds its snapshot value.
-    The graph is then mutated and a fresh plan set is computed so the next
-    change is answered just as fast.
+    The graph is then mutated and all plans rebuilt (one minimum spanning tree
+    plus one swap per unstable edge) so the next change is answered just as
+    fast. The selection refuses a non-finite ``new_x`` before any mutation.
     """
-    if not math.isfinite(new_x):
-        raise NonFiniteWeightError(f"new value must be finite, got {new_x!r}")
     e = g.edge(edge_id)
     if e.kind is not EdgeKind.UNSTABLE:
         raise NotUnstableError(f"edge {edge_id} is stable; it cannot change")

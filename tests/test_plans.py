@@ -4,12 +4,14 @@ import math
 import random
 
 import pytest
-from helpers import bridge_graph, random_graph
+from helpers import bridge_graph, random_graph, random_pairs
 
 from mstplan import (
+    Constraints,
     EdgePlan,
     Error,
     FrozenIncompleteError,
+    Infeasible,
     NonFiniteWeightError,
     NotUnstableError,
     PlanSet,
@@ -20,11 +22,14 @@ from mstplan import (
     brute_critical_value,
     build_graph,
     catalog_total,
+    constrained_mst_kruskal,
+    constrained_mst_prim,
     enumerate_spanning_trees,
     precompute_all,
     precompute_plan,
     select_tree,
     set_unstable_weight,
+    tree_total_weight,
     unstable_values,
     weight_function,
 )
@@ -305,3 +310,41 @@ def test_threshold_agrees_with_enumeration_small():
         g = random_graph(rng, n, extra, unstable={eid})
         plan = precompute_all(g).plans[eid]
         assert plan.cv == brute_critical_value(g, eid)
+
+
+def test_swapped_trees_match_independent_searches():
+    # Plans derive both trees from one MST by a single swap; on tie-heavy
+    # graphs that must still give exactly the trees of an avoiding Kruskal
+    # and a seeded Prim run on the plan's frozen view.
+    rng = random.Random(2024)
+    for _ in range(60):
+        n = rng.randint(3, 8)
+        pairs = random_pairs(rng, n, rng.randint(0, 5))
+        pairs += rng.choices(pairs, k=rng.randint(1, 2))  # parallel edges
+        pairs.append((rng.randrange(n), n))  # a bridge to one more vertex
+        unstable = set(rng.sample(range(len(pairs)), rng.randint(2, 5)))
+        g = build_graph(
+            n + 1,
+            [
+                (u, v, rng.randint(1, 3), "unstable" if i in unstable else "stable")
+                for i, (u, v) in enumerate(pairs)
+            ],
+        )
+        plans = list(precompute_all(g).plans.values())
+        for eid in sorted(unstable):
+            frozen = {k: float(rng.randint(1, 3)) for k in unstable if k != eid}
+            plans.append(precompute_plan(g, eid, frozen))
+        for plan in plans:
+            e = plan.edge_id
+            view = g.copy()
+            for k, value in plan.frozen_others.items():
+                set_unstable_weight(view, k, value)
+            avoiding = constrained_mst_kruskal(view, Constraints(forbidden={e}))
+            if isinstance(avoiding, Infeasible):
+                assert plan.mst_s is None and plan.d_s == math.inf
+            else:
+                assert plan.mst_s.edge_ids == avoiding.edge_ids
+                assert plan.d_s == tree_total_weight(avoiding, view)
+            containing = constrained_mst_prim(view, e)
+            assert plan.mst_v.edge_ids == containing.edge_ids
+            assert plan.s_v == tree_total_weight(containing, view, exclude=e)
