@@ -71,10 +71,14 @@ class SpanningTree:
         cls, g: WeaklyDynamicGraph, ids: Iterable[int]
     ) -> "SpanningTree":
         ids = frozenset(ids)
+        if ids:  # the extremes raise UnknownEdgeError for any id out of range
+            g.edge(min(ids))
+            g.edge(max(ids))
+        edges = g.edges
         stable_sum = 0.0
         unstable = []
         for eid in sorted(ids):
-            e = g.edge(eid)
+            e = edges[eid]
             if e.kind is EdgeKind.UNSTABLE:
                 unstable.append(eid)
             else:

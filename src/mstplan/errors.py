@@ -39,6 +39,10 @@ class FrozenIncompleteError(Error):
     """The frozen-value map does not cover exactly the other unstable edges."""
 
 
+class StalePlanSetError(Error):
+    """A plan set was built at other unstable values than the graph holds."""
+
+
 class StablePlanMissingError(Error):
     """Selection fell on the stable side of a plan that has no stable tree.
 

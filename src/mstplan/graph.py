@@ -12,7 +12,7 @@ exclusive access. There is no internal locking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable
 
@@ -88,6 +88,7 @@ class WeaklyDynamicGraph:
     n: int
     edges: list[Edge]
     unstable_ids: tuple[int, ...]
+    _stable_order: list[int] | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_edges(self) -> int:
@@ -102,8 +103,27 @@ class WeaklyDynamicGraph:
         return self.edge(edge_id).weight
 
     def copy(self) -> "WeaklyDynamicGraph":
-        """Independent copy; mutating one graph's weights leaves the other alone."""
-        return WeaklyDynamicGraph(self.n, list(self.edges), self.unstable_ids)
+        """Independent copy; mutating one graph's weights leaves the other alone.
+
+        The copy shares the stable edge order, if it was computed already.
+        """
+        return WeaklyDynamicGraph(
+            self.n, list(self.edges), self.unstable_ids, self._stable_order
+        )
+
+    def stable_order(self) -> list[int]:
+        """Stable edge ids in ``(weight, id)`` order; treat as read-only.
+
+        Stable weights never change, so the order is sorted on first use and
+        kept for the life of the graph and its copies.
+        """
+        if self._stable_order is None:
+            edges = self.edges
+            ids = [e.id for e in edges if e.kind is EdgeKind.STABLE]
+            # A stable sort of ascending ids keeps equal weights in id order.
+            ids.sort(key=lambda eid: edges[eid].weight)
+            self._stable_order = ids
+        return self._stable_order
 
 
 def _coerce_kind(kind) -> EdgeKind:

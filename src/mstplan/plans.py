@@ -3,22 +3,26 @@
 For one unstable edge the answer to "what is the minimum spanning tree right
 now?" only ever has two shapes: the best tree that avoids the edge (its total
 ``d_s`` is a constant) and the best tree that contains it (its total is
-``s_v + x`` where ``s_v`` is the fixed part and ``x`` the current value).
+``s_v + x`` where ``x`` is the current value and ``s_v`` the fixed rest).
 The crossover sits at ``cv = d_s - s_v``. Both trees and the threshold are
 computed once; after that, any new value of ``x`` is answered by a single
 comparison with no graph work at all.
 
-Both trees come from the graph's minimum spanning tree (ties broken by edge
-id, so it is unique). If the edge is in it, that tree is ``mst_v`` and
-``mst_s`` swaps the edge for its lightest replacement; otherwise that tree is
-``mst_s`` and ``mst_v`` swaps the edge in for the heaviest edge on the cycle
-it closes. Each swap is one constrained Kruskal.
+Both trees come from the graph's minimum spanning tree, unique under the
+``(weight, id)`` order of the edges. That order is the graph's cached order of
+its stable edges with the few unstable ones merged in at their values, so a
+build sorts nothing but them; one union-find scan of it gives the tree. If
+the edge is in the tree, that tree is ``mst_v`` and ``mst_s`` swaps the edge
+for the first edge in the order that crosses the cut it leaves (none: the
+edge is a bridge). Otherwise the tree is ``mst_s`` and ``mst_v`` swaps the
+edge in for the heaviest edge on the tree path between its endpoints.
 
 With several unstable edges, one plan is kept per edge, each computed with
 the *other* unstable edges frozen at their snapshot values. Under the
 one-change-at-a-time contract the plan for the changed edge is exact at the
 moment of the change; all plans are then rebuilt so the next change is exact
-too. They all freeze one snapshot, so a rebuild is one minimum spanning tree.
+too. They all freeze one snapshot, so a rebuild is one scan plus one swap per
+plan.
 
 Plans and plan sets are immutable once built. Selection is read-only and may
 run concurrently with a rebuild as long as the rebuilt plan set is published
@@ -28,23 +32,20 @@ atomically (single writer, many readers).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, NamedTuple
+from itertools import islice
+from typing import Iterable, Mapping, NamedTuple
 
-from .constrained import (
-    Constraints,
-    Infeasible,
-    SpanningTree,
-    constrained_mst_kruskal,
-    tree_total_weight,
-)
+from .constrained import SpanningTree, tree_total_weight
 from .errors import (
     Error,
     FrozenIncompleteError,
     NonFiniteWeightError,
     NotUnstableError,
     StablePlanMissingError,
+    StalePlanSetError,
 )
 from .graph import (
     EdgeKind,
@@ -80,6 +81,12 @@ class EdgePlan:
     s_v: float
     cv: float
     frozen_others: Mapping[int, float]
+    # The answer on the stable side, built once so selection only returns it.
+    _stable: Selection | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        stable = None if self.mst_s is None else Selection(_STABLE, self.d_s, self.mst_s)
+        object.__setattr__(self, "_stable", stable)
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,6 +95,10 @@ class PlanSet:
 
     plans: Mapping[int, EdgePlan]
     snapshot: Mapping[int, float]
+    # The stable order of the graph the plans were built from. Only that
+    # graph and its copies share it, so a rebuild keeps plans and trees only
+    # from a plan set whose order is the graph's own.
+    _stable_order: list[int] | None = field(default=None, repr=False, compare=False)
 
 
 class Selection(NamedTuple):
@@ -99,6 +110,8 @@ class Selection(NamedTuple):
 # Selection runs on every weight change; keep its globals one load away.
 _VARIABLE = TreeKind.VARIABLE
 _STABLE = TreeKind.STABLE
+# NamedTuple's generated __new__ runs in Python; this builds the same tuple.
+_new_tuple = tuple.__new__
 
 
 def _frozen_view(
@@ -113,40 +126,167 @@ def _frozen_view(
         )
     if not frozen:
         return g
+    g.stable_order()  # sorted on ``g``, so the view and later builds share it
     view = g.copy()
     for eid, value in frozen.items():
         set_unstable_weight(view, eid, value)
     return view
 
 
-def _swap_plan(
-    g: WeaklyDynamicGraph, mst: SpanningTree, edge_id: int, frozen: Mapping[int, float]
-) -> EdgePlan:
-    """Plan for ``edge_id``: ``mst``, the minimum spanning tree of ``g``, is
-    one of its trees, and one edge swap gives the other."""
-    if edge_id in mst.edge_ids:
-        mst_v = mst
-        avoiding = constrained_mst_kruskal(
-            g, Constraints(mandatory=mst.edge_ids - {edge_id}, forbidden={edge_id})
+def _edge_order(g: WeaklyDynamicGraph) -> list[int]:
+    """Every edge id in ``(weight, id)`` order at the graph's current values."""
+    edges = g.edges
+
+    def key(eid: int) -> tuple[float, int]:
+        return edges[eid].weight, eid
+
+    stable = g.stable_order()
+    order: list[int] = []
+    start = 0
+    for eid in sorted(g.unstable_ids, key=key):
+        at = bisect_left(stable, key(eid), lo=start, key=key)
+        order += stable[start:at]
+        order.append(eid)
+        start = at
+    order += stable[start:]
+    return order
+
+
+def _kruskal_scan(g: WeaklyDynamicGraph, order: list[int]) -> list[int]:
+    """Edge ids of the minimum spanning tree: Kruskal's scan of ``order``."""
+    # The union-find is inlined: this loop is most of a rebuild's time.
+    parent = list(range(g.n))
+    edges = g.edges
+    need = g.n - 1
+    tree: list[int] = []
+    for eid in order:
+        e = edges[eid]
+        a, b = e.u, e.v
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            tree.append(eid)
+            if len(tree) == need:
+                break
+    return tree
+
+
+def _swap_partners(
+    g: WeaklyDynamicGraph, order: list[int], tree: Iterable[int], edge_ids: Iterable[int]
+) -> dict[int, int | None]:
+    """The one edge each of ``edge_ids`` swaps with in ``tree``, the MST of ``order``.
+
+    An edge outside the tree swaps with the heaviest edge on the tree path
+    between its endpoints; an edge inside it with the first edge in
+    ``order`` that crosses the cut it leaves, or None when it is a bridge.
+    """
+    edges = g.edges
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for eid in tree:
+        e = edges[eid]
+        adjacent[e.u].append((e.v, eid))
+        adjacent[e.v].append((e.u, eid))
+
+    # Root the tree at vertex 0: every vertex's parent, edge up and depth.
+    parent = [-1] * g.n
+    up = [-1] * g.n
+    depth = [0] * g.n
+    visit = [0]
+    for x in visit:
+        for y, eid in adjacent[x]:
+            if eid != up[x]:
+                parent[y], up[y], depth[y] = x, eid, depth[x] + 1
+                visit.append(y)
+
+    partners: dict[int, int | None] = {}
+    for eid in edge_ids:
+        e = edges[eid]
+        a, b = e.u, e.v
+        if up[a] == eid or up[b] == eid:
+            below = bytearray(g.n)  # the side of the cut away from the root
+            visit = [a if up[a] == eid else b]
+            for x in visit:
+                below[x] = 1
+                visit.extend(y for y, f in adjacent[x] if f != up[x])
+            # The edge is the lightest across its cut, so search after it.
+            partners[eid] = next(
+                (f for f in islice(order, order.index(eid) + 1, None)
+                 if below[edges[f].u] != below[edges[f].v]),
+                None,
+            )
+        else:
+            heaviest = (-math.inf, -1)
+            while a != b:
+                if depth[a] < depth[b]:
+                    a, b = b, a
+                f = up[a]
+                heaviest = max(heaviest, (edges[f].weight, f))
+                a = parent[a]
+            partners[eid] = heaviest[1]
+    return partners
+
+
+def _build_plans(
+    g: WeaklyDynamicGraph, edge_ids: Iterable[int], previous: Mapping[int, EdgePlan]
+) -> dict[int, EdgePlan]:
+    """Plans for ``edge_ids`` with every other unstable edge at its current value.
+
+    A plan is a function of the values it froze, so a ``previous`` plan that
+    froze the same ones is kept as it is; a tree whose edge set comes up
+    again is kept too, as its cached stable sum depends on no value.
+    """
+    values = unstable_values(g)
+    frozen = {eid: {k: v for k, v in values.items() if k != eid} for eid in edge_ids}
+    kept = {
+        eid: previous[eid]
+        for eid, others in frozen.items()
+        if eid in previous and previous[eid].frozen_others == others
+    }
+    if len(kept) == len(frozen):
+        return kept
+    known = {
+        t.edge_ids: t
+        for p in previous.values()
+        for t in (p.mst_s, p.mst_v)
+        if t is not None
+    }
+
+    def tree_of(ids: frozenset[int]) -> SpanningTree:
+        return known.get(ids) or SpanningTree.from_edge_ids(g, ids)
+
+    order = _edge_order(g)
+    tree = _kruskal_scan(g, order)
+    partners = _swap_partners(g, order, tree, [eid for eid in frozen if eid not in kept])
+    mst = tree_of(frozenset(tree))
+    plans = {}
+    for eid, others in frozen.items():
+        if eid in kept:
+            plans[eid] = kept[eid]
+            continue
+        partner = partners[eid]
+        if eid in mst.edge_ids:
+            mst_v = mst
+            mst_s = None if partner is None else tree_of(mst.edge_ids - {eid} | {partner})
+        else:
+            mst_s = mst
+            mst_v = tree_of(mst.edge_ids - {partner} | {eid})
+        d_s = math.inf if mst_s is None else tree_total_weight(mst_s, g)
+        s_v = tree_total_weight(mst_v, g, exclude=eid)
+        plans[eid] = EdgePlan(
+            edge_id=eid,
+            mst_s=mst_s,
+            d_s=d_s,
+            mst_v=mst_v,
+            s_v=s_v,
+            cv=d_s - s_v,
+            frozen_others=others,
         )
-        mst_s = None if isinstance(avoiding, Infeasible) else avoiding  # bridge
-    else:
-        mst_s = mst
-        outside = set(range(g.num_edges)) - mst.edge_ids - {edge_id}
-        mst_v = constrained_mst_kruskal(
-            g, Constraints(mandatory={edge_id}, forbidden=outside)
-        )
-    d_s = math.inf if mst_s is None else tree_total_weight(mst_s, g)
-    s_v = tree_total_weight(mst_v, g, exclude=edge_id)
-    return EdgePlan(
-        edge_id=edge_id,
-        mst_s=mst_s,
-        d_s=d_s,
-        mst_v=mst_v,
-        s_v=s_v,
-        cv=d_s - s_v,
-        frozen_others=dict(frozen),
-    )
+    return plans
 
 
 def precompute_plan(
@@ -162,7 +302,7 @@ def precompute_plan(
     if e.kind is not EdgeKind.UNSTABLE:
         raise NotUnstableError(f"edge {edge_id} is stable; plans cover unstable edges")
     view = _frozen_view(g, edge_id, frozen)
-    return _swap_plan(view, constrained_mst_kruskal(view), edge_id, frozen)
+    return _build_plans(view, [edge_id], {})[edge_id]
 
 
 def select_tree(plan: EdgePlan, x: float) -> Selection:
@@ -174,23 +314,19 @@ def select_tree(plan: EdgePlan, x: float) -> Selection:
     if x - x != 0.0:  # 0.0 only for finite x; NaN and both infinities fail
         raise NonFiniteWeightError(f"query value must be finite, got {x!r}")
     if x < plan.cv:
-        return Selection(_VARIABLE, plan.s_v + x, plan.mst_v)
-    if plan.mst_s is None:
+        return _new_tuple(Selection, (_VARIABLE, plan.s_v + x, plan.mst_v))
+    stable = plan._stable
+    if stable is None:
         raise StablePlanMissingError(
             f"plan for edge {plan.edge_id} has no stable tree yet x >= cv"
         )
-    return Selection(_STABLE, plan.d_s, plan.mst_s)
+    return stable
 
 
 def precompute_all(g: WeaklyDynamicGraph) -> PlanSet:
     """One plan per unstable edge: one minimum spanning tree, then one swap each."""
-    snapshot = unstable_values(g)
-    mst = constrained_mst_kruskal(g)
-    plans = {}
-    for eid in g.unstable_ids:
-        frozen = {k: v for k, v in snapshot.items() if k != eid}
-        plans[eid] = _swap_plan(g, mst, eid, frozen)
-    return PlanSet(plans=plans, snapshot=snapshot)
+    plans = _build_plans(g, g.unstable_ids, {})
+    return PlanSet(plans, unstable_values(g), g.stable_order())
 
 
 def apply_change(
@@ -199,10 +335,13 @@ def apply_change(
     """Answer a weight change instantly, then rebuild all plans.
 
     The immediate answer comes from the existing plan for ``edge_id``, which
-    is exact because every other unstable edge still holds its snapshot value.
-    The graph is then mutated and all plans rebuilt (one minimum spanning tree
-    plus one swap per unstable edge) so the next change is answered just as
-    fast. The selection refuses a non-finite ``new_x`` before any mutation.
+    is exact because every other unstable edge still holds its snapshot value;
+    a plan set built at other values than the graph's is refused. The graph
+    is then mutated and the plans rebuilt from one scan of the edge order plus
+    one swap per plan, keeping the plans and trees that did not move, so the
+    next change is answered just as fast. Misuse, such as a non-finite
+    ``new_x``, is refused before any mutation, and a rebuild that raises puts
+    the old value back.
     """
     e = g.edge(edge_id)
     if e.kind is not EdgeKind.UNSTABLE:
@@ -211,9 +350,20 @@ def apply_change(
         plan = ps.plans[edge_id]
     except KeyError:
         raise Error(f"plan set has no plan for edge {edge_id}") from None
+    if dict(ps.snapshot) != unstable_values(g):
+        raise StalePlanSetError(
+            "plan set was built at other unstable values than the graph holds; "
+            "rebuild it with precompute_all"
+        )
     immediate = select_tree(plan, new_x)
+    previous = ps.plans if ps._stable_order is g.stable_order() else {}
     set_unstable_weight(g, edge_id, new_x)
-    return immediate, precompute_all(g)
+    try:
+        plans = _build_plans(g, g.unstable_ids, previous)
+    except BaseException:
+        set_unstable_weight(g, edge_id, e.weight)
+        raise
+    return immediate, PlanSet(plans, unstable_values(g), g.stable_order())
 
 
 @dataclass(frozen=True, slots=True)

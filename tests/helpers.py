@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
+import math
 import random
 
-from mstplan import Constraints, DisjointSetUnion, EdgeKind, build_graph
+from mstplan import (
+    Constraints,
+    DisjointSetUnion,
+    EdgeKind,
+    EdgePlan,
+    Infeasible,
+    PlanSet,
+    build_graph,
+    constrained_mst_kruskal,
+    tree_total_weight,
+    unstable_values,
+)
 
 TRIANGLE_TEXT = """\
 p wdg 3 3
@@ -137,6 +149,42 @@ def plan_sets_equal(a, b) -> bool:
         if dict(pa.frozen_others) != dict(pb.frozen_others):
             return False
     return True
+
+
+def reference_plans(g) -> PlanSet:
+    """Plans by searching: one Kruskal, then one constrained Kruskal per edge.
+
+    The package derives each swap from the tree directly; this is the search
+    it replaced, kept as the independent build to compare against.
+    """
+    snapshot = unstable_values(g)
+    mst = constrained_mst_kruskal(g)
+    plans = {}
+    for eid in g.unstable_ids:
+        if eid in mst.edge_ids:
+            mst_v = mst
+            avoiding = constrained_mst_kruskal(
+                g, Constraints(mandatory=mst.edge_ids - {eid}, forbidden={eid})
+            )
+            mst_s = None if isinstance(avoiding, Infeasible) else avoiding
+        else:
+            mst_s = mst
+            outside = set(range(g.num_edges)) - mst.edge_ids - {eid}
+            mst_v = constrained_mst_kruskal(
+                g, Constraints(mandatory={eid}, forbidden=outside)
+            )
+        d_s = math.inf if mst_s is None else tree_total_weight(mst_s, g)
+        s_v = tree_total_weight(mst_v, g, exclude=eid)
+        plans[eid] = EdgePlan(
+            edge_id=eid,
+            mst_s=mst_s,
+            d_s=d_s,
+            mst_v=mst_v,
+            s_v=s_v,
+            cv=d_s - s_v,
+            frozen_others={k: v for k, v in snapshot.items() if k != eid},
+        )
+    return PlanSet(plans=plans, snapshot=snapshot)
 
 
 def tamper_one_weight(text: str) -> str:

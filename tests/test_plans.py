@@ -1,10 +1,18 @@
 """Per-edge plans: precomputation, constant-time selection, change handling."""
 
+import dataclasses
 import math
 import random
+import sys
 
 import pytest
-from helpers import bridge_graph, random_graph, random_pairs
+from helpers import (
+    M3_TEXT,
+    bridge_graph,
+    random_graph,
+    random_pairs,
+    reference_plans,
+)
 
 from mstplan import (
     Constraints,
@@ -16,6 +24,7 @@ from mstplan import (
     NotUnstableError,
     PlanSet,
     StablePlanMissingError,
+    StalePlanSetError,
     TreeKind,
     UnknownEdgeError,
     apply_change,
@@ -25,13 +34,18 @@ from mstplan import (
     constrained_mst_kruskal,
     constrained_mst_prim,
     enumerate_spanning_trees,
+    format_graph,
+    parse_graph,
+    plans_to_json,
     precompute_all,
     precompute_plan,
+    read_plans,
     select_tree,
     set_unstable_weight,
     tree_total_weight,
     unstable_values,
     weight_function,
+    write_plans,
 )
 
 
@@ -74,6 +88,15 @@ def test_selection_on_both_sides(threshold8):
     sel = select_tree(plan, 8.0)
     assert sel.chosen is TreeKind.STABLE
     assert sel.total_weight == 40.0
+
+
+def test_selection_follows_replaced_plan_fields(threshold8):
+    plan = precompute_plan(threshold8, 5, {})
+    assert select_tree(plan, 9.0) is select_tree(plan, 12.0)  # built once
+    moved = dataclasses.replace(plan, d_s=41.0, cv=9.0)
+    sel = select_tree(moved, 9.5)
+    assert (sel.chosen, sel.total_weight, sel.tree) == (TreeKind.STABLE, 41.0, plan.mst_s)
+    assert select_tree(moved, 8.5).total_weight == 40.5
 
 
 def test_selection_handles_extreme_finite_values(threshold8):
@@ -227,6 +250,120 @@ def test_apply_change_validation(triangle):
     empty = PlanSet(plans={}, snapshot={})
     with pytest.raises(Error):
         apply_change(empty, triangle, 2, 2.0)
+
+
+def test_apply_change_refuses_a_stale_plan_set(multi3):
+    ps = precompute_all(multi3)
+    set_unstable_weight(multi3, 5, 100.0)  # moved behind the plans' back
+    before = list(multi3.edges)
+    with pytest.raises(StalePlanSetError):
+        apply_change(ps, multi3, 4, 0.0)
+    assert multi3.edges == before
+
+
+def test_apply_change_keeps_nothing_from_another_graphs_plans():
+    def graph(w):
+        return build_graph(4, [
+            (0, 1, w, "stable"), (1, 2, 2, "stable"), (0, 2, 3, "stable"),
+            (2, 3, 4, "unstable"), (0, 3, 5, "unstable"), (1, 3, 6, "stable"),
+        ])
+
+    ps = precompute_all(graph(1.0))
+    g = graph(10.0)  # the same unstable values, so no snapshot check sees it
+    _, rebuilt = apply_change(ps, g, 3, 4.5)
+    assert rebuilt.plans == reference_plans(g).plans
+
+
+def test_failed_rebuild_leaves_the_graph_as_it_was(multi3, monkeypatch):
+    ps = precompute_all(multi3)
+    before = list(multi3.edges)
+
+    def boom(*args):
+        raise RuntimeError("rebuild failed")
+
+    monkeypatch.setattr("mstplan.plans._build_plans", boom)
+    with pytest.raises(RuntimeError):
+        apply_change(ps, multi3, 4, 0.0)
+    assert multi3.edges == before
+    monkeypatch.undo()
+    _, rebuilt = apply_change(ps, multi3, 4, 0.0)  # the plans are not stale
+    assert rebuilt.snapshot[4] == 0.0
+
+
+def test_rebuild_runs_no_constrained_search(monkeypatch, tmp_path):
+    def boom(*args, **kwargs):
+        raise AssertionError("a constrained search ran during a rebuild")
+
+    for name, module in list(sys.modules.items()):
+        if name == "mstplan" or name.startswith("mstplan."):
+            for search in ("constrained_mst_kruskal", "constrained_mst_prim"):
+                if hasattr(module, search):
+                    monkeypatch.setattr(module, search, boom)
+
+    g = parse_graph(M3_TEXT)
+    assert g._stable_order is None  # parsing sorts nothing
+    ps = precompute_all(g)
+    order = g._stable_order
+    assert order == [2, 0, 3, 1]  # stable weights 3, 4, 5, 6
+    assert g.copy()._stable_order is order
+    _, ps = apply_change(ps, g, 4, 9.0)
+    _, ps = apply_change(ps, g, 6, 0.5)
+    path = tmp_path / "m3.plan"
+    write_plans(ps, g, path)
+    loaded = parse_graph(format_graph(g))
+    read_plans(path, loaded)
+    assert loaded._stable_order is None  # loading plans sorts nothing either
+
+    precompute_plan(g, 5, {4: 1.0, 6: 8.0})
+    set_unstable_weight(g, 5, 3.0)
+    assert g._stable_order is order
+
+
+def test_change_chains_match_the_constrained_kruskal_build():
+    # Tie-heavy integers and floats, parallel edges and a bridge; values
+    # often land on another edge's weight so that only ids break the tie.
+    rng = random.Random(4242)
+    for trial in range(120):
+        if trial % 2:
+            def draw():
+                return float(rng.randint(1, 3))
+        else:
+            def draw():
+                return rng.uniform(-5.0, 5.0)
+        n = rng.randint(2, 10)
+        pairs = random_pairs(rng, n, rng.randint(0, 2 * n))
+        pairs += rng.choices(pairs, k=rng.randint(1, 3))  # parallel edges
+        pairs.append((rng.randrange(n), n))  # a bridge to one more vertex
+        unstable = rng.sample(range(len(pairs)), rng.randint(1, min(5, len(pairs))))
+        g = build_graph(
+            n + 1,
+            [
+                (u, v, draw(), "unstable" if i in unstable else "stable")
+                for i, (u, v) in enumerate(pairs)
+            ],
+        )
+        ps = precompute_all(g)
+        for _ in range(8):
+            reference = reference_plans(g)
+            assert ps.snapshot == reference.snapshot
+            for eid, plan in reference.plans.items():
+                assert ps.plans[eid] == plan  # trees, sums, d_s, s_v, cv, frozen
+            x = g.weight(rng.randrange(g.num_edges)) if rng.random() < 0.5 else draw()
+            _, ps = apply_change(ps, g, rng.choice(unstable), x)
+
+
+def test_plan_files_match_the_constrained_kruskal_build():
+    rng = random.Random(77)
+    for n, wmax, floats in ((300, 20, False), (400, 10**6, False), (250, 0, True)):
+        extra = 3 * n
+        weights = [rng.uniform(0.0, 100.0) for _ in range(n - 1 + extra)] if floats else None
+        unstable = set(rng.sample(range(n - 1 + extra), 6))
+        g = random_graph(rng, n, extra, unstable=unstable, wmax=wmax, weights=weights)
+        ps = precompute_all(g)
+        for _ in range(4):
+            assert plans_to_json(ps, g) == plans_to_json(reference_plans(g), g)
+            eid = rng.choice(sorted(unstable))
+            _, ps = apply_change(ps, g, eid, ps.plans[eid].cv + rng.choice((-1.5, 0.0, 2.0)))
 
 
 def test_stale_frozen_values_are_detectable(multi3):
