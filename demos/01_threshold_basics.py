@@ -11,7 +11,6 @@ from mstplan import (
     parse_graph,
     precompute_all,
     select_tree,
-    weight_function,
 )
 
 GRAPH = """\
@@ -42,10 +41,11 @@ def main():
         print(f"  x = {x:5}: {sel.chosen.value:8} tree, total {sel.total_weight}  ({marker})")
     print()
 
-    pw = weight_function(plan)
     print("the best-possible total as a closed form:")
-    print(f"  min({pw.plateau}, {pw.intercept} + x), breakpoint at {pw.breakpoint}")
-    samples = ", ".join(f"f({x}) = {pw(x)}" for x in (0, 4, 8, 16))
+    print(f"  min({plan.d_s}, {plan.s_v} + x), breakpoint at {plan.cv}")
+    samples = ", ".join(
+        f"f({x}) = {select_tree(plan, x).total_weight}" for x in (0, 4, 8, 16)
+    )
     print(f"  {samples}")
     print()
     print("no spanning-tree computation happened after the precompute;")

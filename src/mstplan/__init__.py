@@ -18,7 +18,6 @@ from .constrained import (
     Constraints,
     Infeasible,
     MstResult,
-    OptimizationSense,
     SpanningTree,
     constrained_mst_kruskal,
     constrained_mst_prim,
@@ -81,7 +80,6 @@ from .oracle import (
 )
 from .plans import (
     EdgePlan,
-    PiecewiseWeight,
     PlanSet,
     Selection,
     TreeKind,
@@ -89,7 +87,6 @@ from .plans import (
     precompute_all,
     precompute_plan,
     select_tree,
-    weight_function,
 )
 
 __version__ = "0.1.0"
@@ -116,8 +113,6 @@ __all__ = [
     "MstResult",
     "NonFiniteWeightError",
     "NotUnstableError",
-    "OptimizationSense",
-    "PiecewiseWeight",
     "PlanFormatError",
     "PlanSet",
     "Selection",
@@ -159,7 +154,6 @@ __all__ = [
     "set_unstable_weight",
     "tree_total_weight",
     "unstable_values",
-    "weight_function",
     "write_graph",
     "write_plans",
 ]

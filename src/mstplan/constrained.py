@@ -1,8 +1,8 @@
-"""Edge-constrained minimum and maximum spanning trees.
+"""Edge-constrained minimum spanning trees.
 
-Two algorithms solve the same problem: find an extreme-weight spanning tree
-that contains every edge of a mandatory set and avoids every edge of a
-forbidden set.
+Two algorithms solve the same problem: find a minimum spanning tree that
+contains every edge of a mandatory set and avoids every edge of a forbidden
+set.
 
 * :func:`constrained_mst_kruskal` seeds the forest with all mandatory edges,
   then scans the remaining non-forbidden edges in sorted order.
@@ -20,16 +20,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Union
 
 from .errors import InvalidConstraintsError, UnknownEdgeError
 from .graph import DisjointSetUnion, EdgeKind, WeaklyDynamicGraph
-
-
-class OptimizationSense(Enum):
-    MINIMIZE = "minimize"
-    MAXIMIZE = "maximize"
 
 
 @dataclass(frozen=True)
@@ -100,17 +94,11 @@ class Infeasible:
 MstResult = Union[SpanningTree, Infeasible]
 
 
-def _sort_sign(sense: OptimizationSense) -> float:
-    # Maximize is minimize on negated weights.
-    return 1.0 if sense is OptimizationSense.MINIMIZE else -1.0
-
-
 def constrained_mst_kruskal(
     g: WeaklyDynamicGraph,
     constraints: Constraints = Constraints(),
-    sense: OptimizationSense = OptimizationSense.MINIMIZE,
 ) -> MstResult:
-    """Extreme-weight spanning tree containing all mandatory, no forbidden edges.
+    """Minimum spanning tree containing all mandatory, no forbidden edges.
 
     Unstable edges participate at their current weights. Ties are broken by
     edge id, so the result is deterministic.
@@ -124,11 +112,8 @@ def constrained_mst_kruskal(
             return Infeasible(MANDATORY_CYCLE)
         chosen.append(eid)
 
-    sign = _sort_sign(sense)
     skip = constraints.mandatory | constraints.forbidden
-    order = sorted(
-        (sign * e.weight, e.id) for e in g.edges if e.id not in skip
-    )
+    order = sorted((e.weight, e.id) for e in g.edges if e.id not in skip)
     need = g.n - 1
     edges = g.edges
     for _, eid in order:
@@ -147,13 +132,12 @@ def constrained_mst_prim(
     g: WeaklyDynamicGraph,
     seed_edge: int,
     forbidden: frozenset[int] | set[int] = frozenset(),
-    sense: OptimizationSense = OptimizationSense.MINIMIZE,
 ) -> MstResult:
     """Single-mandatory-edge variant: grow the tree from the seed edge.
 
     Starts with both endpoints of ``seed_edge`` in the visited set and the
-    seed edge in the tree, then repeatedly adds the cheapest (per ``sense``)
-    non-forbidden edge leaving the visited set.
+    seed edge in the tree, then repeatedly adds the cheapest non-forbidden
+    edge leaving the visited set.
     """
     seed = g.edge(seed_edge)
     forbidden = frozenset(forbidden)
@@ -162,7 +146,6 @@ def constrained_mst_prim(
     if seed_edge in forbidden:
         raise InvalidConstraintsError(f"seed edge {seed_edge} is forbidden")
 
-    sign = _sort_sign(sense)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for e in g.edges:
         if e.id in forbidden:
@@ -180,7 +163,7 @@ def constrained_mst_prim(
     def add_frontier(vertex: int) -> None:
         for eid, other in adj[vertex]:
             if not in_tree[other]:
-                push(heap, (sign * edges[eid].weight, eid, other))
+                push(heap, (edges[eid].weight, eid, other))
 
     add_frontier(seed.u)
     add_frontier(seed.v)

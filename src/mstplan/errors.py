@@ -40,7 +40,7 @@ class FrozenIncompleteError(Error):
 
 
 class StalePlanSetError(Error):
-    """A plan set was built at other unstable values than the graph holds."""
+    """A plan set was built on another graph or at other unstable values."""
 
 
 class StablePlanMissingError(Error):

@@ -73,9 +73,6 @@ class DisjointSetUnion:
         self.components -= 1
         return True
 
-    def connected(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
-
 
 @dataclass
 class WeaklyDynamicGraph:
@@ -105,10 +102,11 @@ class WeaklyDynamicGraph:
     def copy(self) -> "WeaklyDynamicGraph":
         """Independent copy; mutating one graph's weights leaves the other alone.
 
-        The copy shares the stable edge order, if it was computed already.
+        The copy shares the stable edge order, sorting it first if need be,
+        so plans built on either graph are accepted by the other.
         """
         return WeaklyDynamicGraph(
-            self.n, list(self.edges), self.unstable_ids, self._stable_order
+            self.n, list(self.edges), self.unstable_ids, self.stable_order()
         )
 
     def stable_order(self) -> list[int]:

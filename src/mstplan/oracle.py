@@ -24,7 +24,6 @@ from .constrained import (
     Constraints,
     Infeasible,
     MstResult,
-    OptimizationSense,
     SpanningTree,
 )
 from .errors import Error, NotUnstableError, TooLargeError
@@ -75,9 +74,8 @@ def catalog_total(catalog: TreeCatalog, tree: frozenset[int]) -> float:
 def brute_constrained_min(
     catalog: TreeCatalog,
     constraints: Constraints = Constraints(),
-    sense: OptimizationSense = OptimizationSense.MINIMIZE,
 ) -> MstResult:
-    """Filter the catalog by the constraints and pick the extreme-weight tree.
+    """Filter the catalog by the constraints and pick the minimum-weight tree.
 
     Ties go to the lexicographically smallest edge-id set. Infeasibility is
     diagnosed independently of the production code: a cycle inside the
@@ -87,11 +85,10 @@ def brute_constrained_min(
     constraints.validate(g)
     mandatory, forbidden = constraints.mandatory, constraints.forbidden
     best: tuple[float, tuple[int, ...]] | None = None
-    flip = -1.0 if sense is OptimizationSense.MAXIMIZE else 1.0
     for tree in catalog.trees:
         if not mandatory <= tree or tree & forbidden:
             continue
-        key = (flip * catalog_total(catalog, tree), tuple(sorted(tree)))
+        key = (catalog_total(catalog, tree), tuple(sorted(tree)))
         if best is None or key < best:
             best = key
     if best is None:

@@ -96,8 +96,10 @@ class PlanSet:
     plans: Mapping[int, EdgePlan]
     snapshot: Mapping[int, float]
     # The stable order of the graph the plans were built from. Only that
-    # graph and its copies share it, so a rebuild keeps plans and trees only
-    # from a plan set whose order is the graph's own.
+    # graph and its copies share it, so ``apply_change`` refuses a plan set
+    # whose order is another graph's. A loaded plan set has none: the file's
+    # fingerprint already bound it to its graph, and its first change
+    # rebuilds every plan rather than keep one.
     _stable_order: list[int] | None = field(default=None, repr=False, compare=False)
 
 
@@ -126,7 +128,6 @@ def _frozen_view(
         )
     if not frozen:
         return g
-    g.stable_order()  # sorted on ``g``, so the view and later builds share it
     view = g.copy()
     for eid, value in frozen.items():
         set_unstable_weight(view, eid, value)
@@ -336,12 +337,12 @@ def apply_change(
 
     The immediate answer comes from the existing plan for ``edge_id``, which
     is exact because every other unstable edge still holds its snapshot value;
-    a plan set built at other values than the graph's is refused. The graph
-    is then mutated and the plans rebuilt from one scan of the edge order plus
-    one swap per plan, keeping the plans and trees that did not move, so the
-    next change is answered just as fast. Misuse, such as a non-finite
-    ``new_x``, is refused before any mutation, and a rebuild that raises puts
-    the old value back.
+    a plan set built at other values than the graph's, or on a graph other
+    than ``g`` and its copies, is refused. The graph is then mutated and the
+    plans rebuilt from one scan of the edge order plus one swap per plan,
+    keeping the plans and trees that did not move, so the next change is
+    answered just as fast. Misuse, such as a non-finite ``new_x``, is refused
+    before any mutation, and a rebuild that raises puts the old value back.
     """
     e = g.edge(edge_id)
     if e.kind is not EdgeKind.UNSTABLE:
@@ -355,8 +356,12 @@ def apply_change(
             "plan set was built at other unstable values than the graph holds; "
             "rebuild it with precompute_all"
         )
+    if ps._stable_order is not None and ps._stable_order is not g.stable_order():
+        raise StalePlanSetError(
+            "plan set was built on another graph; rebuild it with precompute_all"
+        )
     immediate = select_tree(plan, new_x)
-    previous = ps.plans if ps._stable_order is g.stable_order() else {}
+    previous = ps.plans if ps._stable_order is not None else {}
     set_unstable_weight(g, edge_id, new_x)
     try:
         plans = _build_plans(g, g.unstable_ids, previous)
@@ -365,26 +370,3 @@ def apply_change(
         raise
     return immediate, PlanSet(plans, unstable_values(g), g.stable_order())
 
-
-@dataclass(frozen=True, slots=True)
-class PiecewiseWeight:
-    """Closed form of a plan's best-tree total as a function of ``x``.
-
-    A slope-one line ``intercept + x`` left of the breakpoint, a constant
-    ``plateau`` at and right of it. Evaluates to ``min(plateau, intercept + x)``
-    everywhere.
-    """
-
-    intercept: float
-    plateau: float
-    breakpoint: float
-
-    def __call__(self, x: float) -> float:
-        if x < self.breakpoint:
-            return self.intercept + x
-        return self.plateau
-
-
-def weight_function(plan: EdgePlan) -> PiecewiseWeight:
-    """Piecewise description of ``min(d_s, s_v + x)`` for the plan."""
-    return PiecewiseWeight(intercept=plan.s_v, plateau=plan.d_s, breakpoint=plan.cv)

@@ -13,7 +13,6 @@ from mstplan import (
     EdgeKind,
     Infeasible,
     InvalidConstraintsError,
-    OptimizationSense,
     SpanningTree,
     UnknownEdgeError,
     build_graph,
@@ -182,23 +181,6 @@ def test_prim_matches_kruskal_single_mandatory():
             assert tree_total_weight(got_p, g) == tree_total_weight(got_k, g)
 
 
-def test_maximize_is_minimize_on_negated_weights():
-    rng = random.Random(303)
-    for _ in range(60):
-        n = rng.randint(3, 7)
-        g = random_graph(rng, n, rng.randint(0, 4))
-        negated = build_graph(
-            n, [(e.u, e.v, -e.weight, e.kind) for e in g.edges]
-        )
-        cons = random_constraints(rng, g)
-        hi = constrained_mst_kruskal(g, cons, OptimizationSense.MAXIMIZE)
-        lo = constrained_mst_kruskal(negated, cons)
-        if isinstance(hi, Infeasible):
-            assert lo == hi
-        else:
-            assert tree_total_weight(hi, g) == -tree_total_weight(lo, negated)
-
-
 def test_adding_constraints_never_cheapens():
     rng = random.Random(404)
     for _ in range(120):
@@ -219,15 +201,3 @@ def test_adding_constraints_never_cheapens():
             if isinstance(after, Infeasible):
                 continue
             assert tree_total_weight(after, g) >= tree_total_weight(before, g)
-
-
-def test_maximize_prim_matches_kruskal():
-    rng = random.Random(505)
-    for _ in range(60):
-        g = random_graph(rng, rng.randint(3, 7), rng.randint(0, 3))
-        seed = rng.randrange(g.num_edges)
-        hi_p = constrained_mst_prim(g, seed, sense=OptimizationSense.MAXIMIZE)
-        hi_k = constrained_mst_kruskal(
-            g, Constraints(mandatory={seed}), OptimizationSense.MAXIMIZE
-        )
-        assert tree_total_weight(hi_p, g) == tree_total_weight(hi_k, g)

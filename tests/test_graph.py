@@ -146,9 +146,9 @@ def test_dsu_tracks_components():
             a, b = rng.randrange(n), rng.randrange(n)
             if a == b:
                 continue
-            before = dsu.connected(a, b)
+            before = dsu.find(a) == dsu.find(b)
             did = dsu.union(a, b)
             assert did == (not before)
             merges += did
-            assert dsu.connected(a, b)
+            assert dsu.find(a) == dsu.find(b)
         assert dsu.components == n - merges

@@ -44,7 +44,6 @@ from mstplan import (
     set_unstable_weight,
     tree_total_weight,
     unstable_values,
-    weight_function,
     write_plans,
 )
 
@@ -270,8 +269,24 @@ def test_apply_change_keeps_nothing_from_another_graphs_plans():
 
     ps = precompute_all(graph(1.0))
     g = graph(10.0)  # the same unstable values, so no snapshot check sees it
-    _, rebuilt = apply_change(ps, g, 3, 4.5)
+    before = list(g.edges)
+    with pytest.raises(StalePlanSetError):
+        apply_change(ps, g, 3, 4.5)
+    assert g.edges == before
+    _, rebuilt = apply_change(precompute_all(g), g, 3, 4.5)
     assert rebuilt.plans == reference_plans(g).plans
+
+
+def test_copy_made_before_the_first_sort_accepts_the_originals_plans():
+    g = parse_graph(M3_TEXT)
+    twin = g.copy()  # nothing sorted yet; the copy sorts and shares the order
+    ps = precompute_all(g)
+    sel, rebuilt = apply_change(ps, twin, 4, 9.0)
+    assert sel == select_tree(ps.plans[4], 9.0)
+    assert rebuilt.plans == reference_plans(twin).plans
+    set_unstable_weight(g, 4, 9.0)  # and the original accepts the copy's plans
+    _, back = apply_change(rebuilt, g, 6, 0.5)
+    assert back.plans == reference_plans(g).plans
 
 
 def test_failed_rebuild_leaves_the_graph_as_it_was(multi3, monkeypatch):
@@ -352,6 +367,45 @@ def test_change_chains_match_the_constrained_kruskal_build():
             _, ps = apply_change(ps, g, rng.choice(unstable), x)
 
 
+def test_quarter_weight_what_ifs_match_a_fresh_kruskal():
+    # Multiples of 0.25 are exact in binary, so every total is exact and a
+    # what-if must equal a fresh search at the values in force bit for bit.
+    rng = random.Random(2525)
+
+    def draw():
+        return rng.randint(-12, 12) / 4
+
+    checks = 0
+    for _ in range(1500):
+        n = rng.randint(2, 7)
+        pairs = random_pairs(rng, n, rng.randint(0, n))
+        pairs += rng.choices(pairs, k=rng.randint(1, 2))  # parallel edges
+        unstable = rng.sample(range(len(pairs)), rng.randint(1, min(3, len(pairs))))
+        g = build_graph(
+            n,
+            [
+                (u, v, draw(), "unstable" if i in unstable else "stable")
+                for i, (u, v) in enumerate(pairs)
+            ],
+        )
+        ps = precompute_all(g)
+        for _ in range(3):
+            eid = rng.choice(unstable)
+            cv = ps.plans[eid].cv
+            at = [cv, cv - 0.25, cv + 0.25] if math.isfinite(cv) else []
+            xs = [draw(), rng.choice(at or [draw()])]
+            for x in xs:
+                view = g.copy()
+                set_unstable_weight(view, eid, x)
+                fresh = tree_total_weight(constrained_mst_kruskal(view), view)
+                sel = select_tree(ps.plans[eid], x)
+                assert sel.total_weight == fresh
+                assert tree_total_weight(sel.tree, view) == fresh
+                checks += 1
+            _, ps = apply_change(ps, g, eid, xs[-1])
+    assert checks == 9000
+
+
 def test_plan_files_match_the_constrained_kruskal_build():
     rng = random.Random(77)
     for n, wmax, floats in ((300, 20, False), (400, 10**6, False), (250, 0, True)):
@@ -374,40 +428,33 @@ def test_stale_frozen_values_are_detectable(multi3):
     assert plan4.frozen_others[5] != current[5]
 
 
-def test_weight_function_shapes(threshold8, triangle, bridge4):
-    pw = weight_function(precompute_plan(threshold8, 5, {}))
-    assert (pw.intercept, pw.plateau, pw.breakpoint) == (32.0, 40.0, 8.0)
-    assert pw(7.0) == 39.0
-    assert pw(8.0) == 40.0
-    assert pw(100.0) == 40.0
-
-    pw = weight_function(precompute_plan(triangle, 2, {}))
-    assert pw.breakpoint == 2.0
-
-    pw = weight_function(precompute_plan(bridge4, 3, {}))
-    assert pw.plateau == math.inf
-    for x in (0.0, 10.0, 1e9):
-        assert pw(x) == pw.intercept + x
-
-
-def test_weight_function_matches_min_form_and_is_monotone():
+def test_best_total_matches_min_form_and_is_monotone(threshold8, triangle, bridge4):
     rng = random.Random(99)
+    plans = [
+        precompute_plan(threshold8, 5, {}),
+        precompute_plan(triangle, 2, {}),
+        precompute_plan(bridge4, 3, {}),  # a bridge: cv is +inf, no plateau
+    ]
     for _ in range(40):
         n = rng.randint(4, 7)
         extra = rng.randint(1, 4)
         eid = n - 1 + rng.randrange(extra)
         g = random_graph(rng, n, extra, unstable={eid})
-        plan = precompute_all(g).plans[eid]
-        pw = weight_function(plan)
-        xs = sorted(plan.cv + d for d in (-3, -1.5, -0.5, 0, 0.5, 1.5, 3))
-        values = [pw(x) for x in xs]
+        plans.append(precompute_all(g).plans[eid])
+    for plan in plans:
+        def total(x):
+            return select_tree(plan, x).total_weight
+
+        at = plan.cv if math.isfinite(plan.cv) else 0.0
+        xs = sorted(at + d for d in (-3, -1.5, -0.5, 0, 0.5, 1.5, 3))
+        values = [total(x) for x in xs]
         for x, value in zip(xs, values):
             assert value == min(plan.d_s, plan.s_v + x)
-            assert value == select_tree(plan, x).total_weight
         assert values == sorted(values)
-        # slope one left of the breakpoint, flat at and beyond it
-        assert pw(plan.cv - 2) - pw(plan.cv - 3) == 1.0
-        assert pw(plan.cv + 3) == pw(plan.cv)
+        # slope one left of the threshold, flat at and beyond it
+        assert total(at - 2) - total(at - 3) == 1.0
+        if math.isfinite(plan.cv):
+            assert total(plan.cv + 3) == total(plan.cv) == plan.d_s
 
 
 def test_tie_at_breakpoint_has_two_optimal_trees(triangle):
