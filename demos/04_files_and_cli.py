@@ -5,7 +5,8 @@ precompute writes a plan file, query answers what-ifs from it, simulate
 replays an event stream with latency stats, generate produces test graphs,
 and verify cross-checks against exhaustive enumeration. Plan files carry a
 fingerprint of the graph they came from and refuse to load against anything
-else.
+else. They store one spanning tree plus, per unstable edge, the one edge it
+swaps with.
 """
 
 import json
@@ -62,6 +63,10 @@ def main():
     doc = json.loads(plan.read_text(encoding="utf-8"))
     print("plan files are JSON; the stored fingerprint pins the source graph:")
     print(f"  {json.dumps(doc['fingerprint'], sort_keys=True)[:76]}...")
+    print(f"  version {doc['version']}: one tree of {len(doc['tree'])} edges {doc['tree']},")
+    print("  and per unstable edge the one edge it swaps with (none: a bridge):")
+    for record in doc["plans"]:
+        print(f"  edge {record['edge']}: swap {record['swap']}, cv={record['cv']}")
     print()
 
     tampered = parse_graph(GRAPH.replace("e 4 5 11", "e 4 5 12"))

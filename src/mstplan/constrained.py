@@ -69,11 +69,12 @@ class SpanningTree:
             g.edge(min(ids))
             g.edge(max(ids))
         edges = g.edges
+        unstable_kind = EdgeKind.UNSTABLE  # one enum lookup, not one per edge
         stable_sum = 0.0
         unstable = []
         for eid in sorted(ids):
             e = edges[eid]
-            if e.kind is EdgeKind.UNSTABLE:
+            if e.kind is unstable_kind:
                 unstable.append(eid)
             else:
                 stable_sum += e.weight

@@ -6,9 +6,20 @@ comes before any edge line; ``e <u> <v> <w>`` declares a stable edge and
 edge lines. Lines whose first token is ``c`` are comments; blank lines and
 trailing whitespace are tolerated.
 
-Plan files are JSON. Infinities are serialized as the string "inf". Every
-plan file carries a fingerprint of the graph it was computed from, and
-loading against a graph with a different fingerprint is refused.
+Plan files are JSON (format ``"version": 2``). Every plan shares one
+spanning tree, the graph's minimum spanning tree at the snapshot, so the file
+stores its sorted edge ids once as ``"tree"``, and per unstable edge a record
+``{"edge", "swap", "d_s", "s_v", "cv"}``: ``swap`` is the one edge the plan's
+other tree trades, null for a bridge. An edge in the tree leaves it for its
+swap to give ``mst_s``; an edge outside enters it in place of its swap to
+give ``mst_v``. Infinities are serialized as the string "inf". Every plan
+file carries a fingerprint of the graph it was computed from, including its
+unstable values, and loading against a graph with a different fingerprint
+is refused; the values each plan froze are that snapshot, so none are
+stored. A load checks the tree once (``n - 1`` distinct ids, no cycle),
+each swap against the cut its edge leaves, and each record's totals at the
+graph's values; it does not check that the trees are minimum. Files of the
+earlier format, without a version, are refused: re-run ``precompute``.
 
 Event streams are lines ``<seq> <edge_id> <new_x>`` with strictly
 increasing sequence numbers, one weight change per line.
@@ -31,14 +42,15 @@ from .errors import (
     PlanFormatError,
 )
 from .graph import (
-    DisjointSetUnion,
+    Edge,
     EdgeKind,
     WeaklyDynamicGraph,
+    _graph_of,
     _validate_edge,
     build_graph,
     unstable_values,
 )
-from .plans import EdgePlan, PlanSet
+from .plans import EdgePlan, PlanSet, _Rooted, _rooted, _tree_path
 from .constrained import SpanningTree, tree_total_weight
 
 
@@ -56,16 +68,37 @@ def format_value(value: float) -> str:
 
 
 def parse_graph(text: str) -> WeaklyDynamicGraph:
-    """Parse graph-file text. Raises with a 1-based line number on bad input."""
-    header: tuple[int, int] | None = None
-    specs: list[tuple[int, int, int, float, EdgeKind]] = []
+    """Parse graph-file text. Raises with a 1-based line number on bad input.
+
+    Each edge is checked once, as its line is read, so a bad edge line is
+    reported before a header count that the file does not meet.
+    """
+    n = 0
+    m: int | None = None  # the declared edge count, once the header is read
+    edges: list[Edge] = []
+    stable, unstable = EdgeKind.STABLE, EdgeKind.UNSTABLE
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
         if not fields or fields[0] == "c":
             continue
         tag = fields[0]
-        if tag == "p":
-            if header is not None:
+        if tag == "e" or tag == "u":
+            if m is None:
+                raise GraphSyntaxError("edge line before header", line=lineno)
+            if len(fields) != 4:
+                raise GraphSyntaxError(
+                    f"edge line needs '{tag} <u> <v> <weight>'", line=lineno
+                )
+            try:
+                u, v, w = int(fields[1]), int(fields[2]), float(fields[3])
+            except ValueError:
+                u = -1  # fails the check below, which names the bad field
+            # w - w is 0.0 only for finite w.
+            if not (0 <= u < n and 0 <= v < n and u != v and w - w == 0.0):
+                u, v, w = _edge_fields(fields, lineno, n)
+            edges.append(Edge(len(edges), u, v, w, unstable if tag == "u" else stable))
+        elif tag == "p":
+            if m is not None:
                 raise GraphSyntaxError("duplicate header", line=lineno)
             if len(fields) != 4 or fields[1] != "wdg":
                 raise GraphSyntaxError(
@@ -77,35 +110,31 @@ def parse_graph(text: str) -> WeaklyDynamicGraph:
                 raise GraphSyntaxError(
                     f"implausible header counts n={n} m={m}", line=lineno
                 )
-            header = (n, m)
-        elif tag in ("e", "u"):
-            if header is None:
-                raise GraphSyntaxError("edge line before header", line=lineno)
-            if len(fields) != 4:
-                raise GraphSyntaxError(
-                    f"edge line needs '{tag} <u> <v> <weight>'", line=lineno
-                )
-            u = _parse_int(fields[1], lineno, "endpoint")
-            v = _parse_int(fields[2], lineno, "endpoint")
-            w = _parse_real(fields[3], lineno)
-            kind = EdgeKind.UNSTABLE if tag == "u" else EdgeKind.STABLE
-            specs.append((lineno, u, v, w, kind))
         else:
             raise GraphSyntaxError(f"unknown record type {tag!r}", line=lineno)
 
-    if header is None:
+    if m is None:
         raise GraphSyntaxError("missing 'p wdg <n> <num_edges>' header")
-    n, m = header
-    if len(specs) != m:
+    if len(edges) != m:
         raise GraphSyntaxError(
-            f"header declares {m} edge lines, file has {len(specs)}"
+            f"header declares {m} edge lines, file has {len(edges)}"
         )
-    for lineno, u, v, w, _ in specs:
-        try:
-            _validate_edge(n, u, v, w)
-        except Error as err:
-            raise type(err)(f"line {lineno}: {err}") from None
-    return build_graph(n, [(u, v, w, kind) for _, u, v, w, kind in specs])
+    return _graph_of(n, edges)
+
+
+def _edge_fields(fields: list[str], lineno: int, n: int) -> tuple[int, int, float]:
+    """An edge line's endpoints and weight, each checked in turn.
+
+    Raises the error of the first bad field with the line number.
+    """
+    u = _parse_int(fields[1], lineno, "endpoint")
+    v = _parse_int(fields[2], lineno, "endpoint")
+    w = _parse_real(fields[3], lineno)
+    try:
+        _validate_edge(n, u, v, w)
+    except Error as err:
+        raise type(err)(f"line {lineno}: {err}") from None
+    return u, v, w
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -152,36 +181,88 @@ def graph_fingerprint(g: WeaklyDynamicGraph) -> dict:
 # plan files
 
 
+_PLAN_FORMAT = 2
+
+
 def plans_to_json(ps: PlanSet, g: WeaklyDynamicGraph) -> str:
-    """Serialize a plan set computed from ``g`` (at ``g``'s current values)."""
+    """Serialize a plan set computed from ``g`` (at ``g``'s current values).
+
+    The file holds the one tree every plan shares plus each plan's swap, so
+    a plan set that is not of that shape, or was not built at ``g``'s
+    values, is refused with :class:`PlanFormatError` before anything is
+    written.
+    """
+    values = unstable_values(g)
+    if dict(ps.snapshot) != values:
+        raise PlanFormatError(
+            "plan set was built at other unstable values than the graph holds"
+        )
+    tree = _shared_tree(ps, g)
     doc = {
+        "version": _PLAN_FORMAT,
         "fingerprint": graph_fingerprint(g),
-        "plans": [_encode_plan(ps.plans[eid]) for eid in sorted(ps.plans)],
+        "tree": sorted(tree),
+        "plans": [_encode_plan(ps.plans[eid], tree, values) for eid in sorted(ps.plans)],
     }
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _encode_plan(plan: EdgePlan) -> dict:
-    record = {
-        "edge": plan.edge_id,
+def _shared_tree(ps: PlanSet, g: WeaklyDynamicGraph) -> frozenset[int]:
+    """Edge ids of the tree every plan holds as its ``mst_v`` or ``mst_s``.
+
+    Empty for a plan set with no plans.
+    """
+    if not ps.plans:
+        return frozenset()
+    common = set.intersection(
+        *({t.edge_ids for t in (p.mst_v, p.mst_s) if t is not None} for p in ps.plans.values())
+    )
+    if not common:
+        raise PlanFormatError("the plans share no spanning tree")
+    # Two trees remain only when every plan holds both, and then they differ
+    # by one swap: the minimum spanning tree sorts first in (weight, id) order.
+    edges = g.edges
+    return min(common, key=lambda t: sorted((edges[eid].weight, eid) for eid in t))
+
+
+def _encode_plan(plan: EdgePlan, tree: frozenset[int], values: dict) -> dict:
+    eid = plan.edge_id
+    in_tree = eid in tree
+    other = plan.mst_s if in_tree else plan.mst_v
+    swap = None if other is None else min((other.edge_ids ^ tree) - {eid}, default=None)
+    swapped = None if swap is None else _swapped(tree, eid, swap)
+    decoded = (tree, swapped) if in_tree else (swapped, tree)
+    if decoded != (plan.mst_v.edge_ids, plan.mst_s and plan.mst_s.edge_ids):
+        raise PlanFormatError(f"edge {eid}: plan is not the shared tree plus one swap")
+    if dict(plan.frozen_others) != {k: v for k, v in values.items() if k != eid}:
+        raise PlanFormatError(
+            f"edge {eid}: frozen_others is not the graph's values without the edge"
+        )
+    return {
+        "edge": eid,
+        "swap": swap,
         "d_s": "inf" if math.isinf(plan.d_s) else plan.d_s,
         "s_v": plan.s_v,
         "cv": "inf" if math.isinf(plan.cv) else plan.cv,
-        "mst_v": sorted(plan.mst_v.edge_ids),
-        "frozen_others": {str(k): plan.frozen_others[k] for k in sorted(plan.frozen_others)},
     }
-    if plan.mst_s is not None:
-        record["mst_s"] = sorted(plan.mst_s.edge_ids)
-    return record
+
+
+def _swapped(tree: frozenset[int], edge_id: int, swap: int) -> frozenset[int]:
+    """The plan's other tree: ``edge_id`` leaves or enters ``tree`` against ``swap``."""
+    if edge_id in tree:
+        return tree - {edge_id} | {swap}
+    return tree - {swap} | {edge_id}
 
 
 def plans_from_json(text: str, g: WeaklyDynamicGraph) -> PlanSet:
     """Load a plan set, refusing files computed from a different graph.
 
-    Beyond the fingerprint guard, each record is checked for internal
-    consistency (threshold arithmetic, tree shape, totals at the graph's
-    current values), so a tampered file is rejected even when its
-    fingerprint was patched up. No spanning-tree computation is performed.
+    Beyond the format version and the fingerprint guard, the shared tree is
+    checked to span the graph, each swap to cross the cut its edge leaves,
+    and each record's threshold arithmetic and totals at the graph's current
+    values, so a tampered file is rejected even when its fingerprint was
+    patched up. Whether the trees are minimum is not checked: no
+    spanning-tree search is performed.
     """
     try:
         doc = json.loads(text)
@@ -189,6 +270,12 @@ def plans_from_json(text: str, g: WeaklyDynamicGraph) -> PlanSet:
         raise PlanFormatError(f"not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise PlanFormatError("top level must be a JSON object")
+    version = doc.get("version")
+    if version != _PLAN_FORMAT:
+        found = "no format version" if version is None else f"format version {version!r}"
+        raise PlanFormatError(
+            f"plan file has {found}, not {_PLAN_FORMAT}; re-run `mstplan precompute`"
+        )
     fingerprint = doc.get("fingerprint")
     if not isinstance(fingerprint, dict):
         raise PlanFormatError("missing fingerprint object")
@@ -203,11 +290,16 @@ def plans_from_json(text: str, g: WeaklyDynamicGraph) -> PlanSet:
 
     snapshot = unstable_values(g)
     plans: dict[int, EdgePlan] = {}
-    for record in records:
-        plan = _decode_plan(record, g, snapshot)
-        if plan.edge_id in plans:
-            raise PlanFormatError(f"duplicate plan for edge {plan.edge_id}")
-        plans[plan.edge_id] = plan
+    if records:
+        base, rooted = _decode_tree(doc.get("tree"), g)
+        trees = {base.edge_ids: base}
+        for record in records:
+            plan = _decode_plan(record, g, snapshot, rooted, trees, base)
+            if plan.edge_id in plans:
+                raise PlanFormatError(f"duplicate plan for edge {plan.edge_id}")
+            plans[plan.edge_id] = plan
+    elif doc.get("tree") != []:
+        raise PlanFormatError("a file without plans must hold an empty tree")
     if set(plans) != set(g.unstable_ids):
         raise PlanFormatError(
             f"plans cover edges {sorted(plans)}, "
@@ -216,7 +308,30 @@ def plans_from_json(text: str, g: WeaklyDynamicGraph) -> PlanSet:
     return PlanSet(plans=plans, snapshot=snapshot)
 
 
-def _decode_plan(record, g: WeaklyDynamicGraph, snapshot: dict) -> EdgePlan:
+def _decode_tree(ids, g: WeaklyDynamicGraph) -> tuple[SpanningTree, _Rooted]:
+    """The shared tree, checked to be a spanning tree of ``g``, and its rooting."""
+    if not isinstance(ids, list) or not all(type(i) is int for i in ids):
+        raise PlanFormatError("tree must be a list of edge ids")
+    if len(ids) != g.n - 1 or len(set(ids)) != g.n - 1:
+        raise PlanFormatError(f"tree must list {g.n - 1} distinct edge ids")
+    m = g.num_edges
+    for i in ids:
+        if not 0 <= i < m:
+            raise PlanFormatError(f"tree names unknown edge {i}")
+    rooted = _rooted(g, ids)
+    if rooted is None:
+        raise PlanFormatError("tree contains a cycle, so it does not span the graph")
+    return SpanningTree.from_edge_ids(g, ids), rooted
+
+
+def _decode_plan(
+    record,
+    g: WeaklyDynamicGraph,
+    snapshot: dict,
+    rooted: _Rooted,
+    trees: dict[frozenset[int], SpanningTree],
+    base: SpanningTree,
+) -> EdgePlan:
     if not isinstance(record, dict):
         raise PlanFormatError("plan record must be a JSON object")
     edge_id = record.get("edge")
@@ -235,32 +350,39 @@ def _decode_plan(record, g: WeaklyDynamicGraph, snapshot: dict) -> EdgePlan:
             f"edge {edge_id}: cv={cv!r} disagrees with d_s - s_v = {d_s - s_v!r}"
         )
 
-    mst_v = _decode_tree(record.get("mst_v"), g, edge_id, "mst_v")
-    if edge_id not in mst_v.edge_ids:
-        raise PlanFormatError(f"edge {edge_id}: mst_v must contain the edge itself")
-
-    if math.isinf(d_s):
-        if "mst_s" in record:
+    if "swap" not in record:
+        raise PlanFormatError(f"edge {edge_id}: missing swap")
+    swap = record["swap"]
+    in_tree = edge_id in base.edge_ids
+    if swap is None or math.isinf(d_s):
+        # Only a bridge has no swap: its tree holds it and d_s is infinite.
+        if not (swap is None and in_tree and math.isinf(d_s)):
             raise PlanFormatError(
-                f"edge {edge_id}: mst_s present although d_s is infinite"
+                f"edge {edge_id}: swap must be null exactly when the edge is "
+                f"a tree edge with infinite d_s"
             )
-        mst_s = None
+        other = None
     else:
-        if "mst_s" not in record:
-            raise PlanFormatError(f"edge {edge_id}: mst_s missing")
-        mst_s = _decode_tree(record["mst_s"], g, edge_id, "mst_s")
-        if edge_id in mst_s.edge_ids:
-            raise PlanFormatError(f"edge {edge_id}: mst_s must avoid the edge itself")
-        if tree_total_weight(mst_s, g) != d_s:
+        if type(swap) is not int or not 0 <= swap < g.num_edges:
+            raise PlanFormatError(f"edge {edge_id}: swap {swap!r} is not an edge id")
+        if (swap in base.edge_ids) == in_tree:
+            where = "outside" if in_tree else "in"
+            raise PlanFormatError(f"edge {edge_id}: swap {swap} must lie {where} the tree")
+        # The swap must cross the cut the tree edge of the pair leaves.
+        cut, path_of = (edge_id, swap) if in_tree else (swap, edge_id)
+        e = g.edges[path_of]
+        if cut not in _tree_path(rooted, e.u, e.v):
             raise PlanFormatError(
-                f"edge {edge_id}: d_s disagrees with mst_s at current weights"
+                f"edge {edge_id}: swap {swap} does not cross the cut, so it closes a cycle"
             )
-    if tree_total_weight(mst_v, g, exclude=edge_id) != s_v:
-        raise PlanFormatError(
-            f"edge {edge_id}: s_v disagrees with mst_v at current weights"
-        )
+        ids = _swapped(base.edge_ids, edge_id, swap)
+        other = trees.get(ids) or trees.setdefault(ids, SpanningTree.from_edge_ids(g, ids))
+    mst_v, mst_s = (base, other) if in_tree else (other, base)
 
-    frozen = _decode_frozen(record.get("frozen_others"), edge_id, snapshot)
+    if mst_s is not None and tree_total_weight(mst_s, g) != d_s:
+        raise PlanFormatError(f"edge {edge_id}: d_s disagrees with mst_s at current weights")
+    if tree_total_weight(mst_v, g, exclude=edge_id) != s_v:
+        raise PlanFormatError(f"edge {edge_id}: s_v disagrees with mst_v at current weights")
     return EdgePlan(
         edge_id=edge_id,
         mst_s=mst_s,
@@ -268,7 +390,7 @@ def _decode_plan(record, g: WeaklyDynamicGraph, snapshot: dict) -> EdgePlan:
         mst_v=mst_v,
         s_v=s_v,
         cv=cv,
-        frozen_others=frozen,
+        frozen_others={k: v for k, v in snapshot.items() if k != edge_id},
     )
 
 
@@ -284,55 +406,6 @@ def _decode_value(record: dict, key: str, edge_id: int) -> float:
     if not math.isfinite(value):
         raise PlanFormatError(f"edge {edge_id}: {key} must be 'inf' or finite")
     return value
-
-
-def _decode_tree(ids, g: WeaklyDynamicGraph, edge_id: int, key: str) -> SpanningTree:
-    if not isinstance(ids, list) or not all(
-        isinstance(i, int) and not isinstance(i, bool) for i in ids
-    ):
-        raise PlanFormatError(f"edge {edge_id}: {key} must be a list of edge ids")
-    if len(set(ids)) != g.n - 1:
-        raise PlanFormatError(
-            f"edge {edge_id}: {key} must list {g.n - 1} distinct edge ids"
-        )
-    dsu = DisjointSetUnion(g.n)
-    for i in ids:
-        if not 0 <= i < g.num_edges:
-            raise PlanFormatError(f"edge {edge_id}: {key} names unknown edge {i}")
-        e = g.edges[i]
-        if not dsu.union(e.u, e.v):
-            raise PlanFormatError(f"edge {edge_id}: {key} contains a cycle")
-    if dsu.components != 1:
-        raise PlanFormatError(f"edge {edge_id}: {key} does not span the graph")
-    return SpanningTree.from_edge_ids(g, ids)
-
-
-def _decode_frozen(mapping, edge_id: int, snapshot: dict) -> dict[int, float]:
-    if not isinstance(mapping, dict):
-        raise PlanFormatError(f"edge {edge_id}: missing frozen_others map")
-    frozen: dict[int, float] = {}
-    for key, value in mapping.items():
-        try:
-            other = int(key)
-        except ValueError:
-            raise PlanFormatError(
-                f"edge {edge_id}: bad frozen_others key {key!r}"
-            ) from None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise PlanFormatError(f"edge {edge_id}: bad frozen value {value!r}")
-        frozen[other] = float(value)
-    expected = set(snapshot) - {edge_id}
-    if set(frozen) != expected:
-        raise PlanFormatError(
-            f"edge {edge_id}: frozen_others must cover exactly edges {sorted(expected)}"
-        )
-    for other, value in frozen.items():
-        if value != snapshot[other]:
-            raise PlanFormatError(
-                f"edge {edge_id}: frozen value for edge {other} "
-                f"disagrees with the graph's current value"
-            )
-    return frozen
 
 
 def write_plans(ps: PlanSet, g: WeaklyDynamicGraph, path: str | Path) -> None:

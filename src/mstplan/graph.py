@@ -147,15 +147,17 @@ def build_graph(
     if n < 1:
         raise Error(f"vertex count must be >= 1, got {n}")
     edges: list[Edge] = []
-    unstable: list[int] = []
     for u, v, weight, kind in edge_specs:
-        eid = len(edges)
         kind = _coerce_kind(kind)
         _validate_edge(n, u, v, weight)
-        edges.append(Edge(eid, u, v, float(weight), kind))
-        if kind is EdgeKind.UNSTABLE:
-            unstable.append(eid)
-    g = WeaklyDynamicGraph(n, edges, tuple(unstable))
+        edges.append(Edge(len(edges), u, v, float(weight), kind))
+    return _graph_of(n, edges)
+
+
+def _graph_of(n: int, edges: list[Edge]) -> WeaklyDynamicGraph:
+    """The graph of validated edges whose ids are their positions; it must be connected."""
+    unstable_kind = EdgeKind.UNSTABLE  # one enum lookup, not one per edge
+    g = WeaklyDynamicGraph(n, edges, tuple(e.id for e in edges if e.kind is unstable_kind))
     if not is_connected(g, frozenset()):
         raise DisconnectedGraphError(
             f"graph on {n} vertices is not connected by its full edge set"

@@ -177,6 +177,51 @@ def _kruskal_scan(g: WeaklyDynamicGraph, order: list[int]) -> list[int]:
     return tree
 
 
+class _Rooted(NamedTuple):
+    """A spanning tree rooted at vertex 0."""
+
+    adjacent: list[list[tuple[int, int]]]  # per vertex: (neighbour, edge id)
+    parent: list[int]
+    up: list[int]  # the edge to the parent; -1 at the root
+    depth: list[int]
+
+
+def _rooted(g: WeaklyDynamicGraph, tree: Iterable[int]) -> _Rooted | None:
+    """Root ``tree``, edge ids of ``g``, at vertex 0; None if they are not a spanning tree."""
+    edges = g.edges
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for eid in tree:
+        e = edges[eid]
+        adjacent[e.u].append((e.v, eid))
+        adjacent[e.v].append((e.u, eid))
+    parent = [-1] * g.n
+    up = [-1] * g.n
+    depth = [0] * g.n
+    visit = [0]
+    for x in visit:
+        if len(visit) > g.n:
+            return None  # a vertex was reached twice: the edges hold a cycle
+        for y, eid in adjacent[x]:
+            if eid != up[x]:
+                parent[y], up[y], depth[y] = x, eid, depth[x] + 1
+                visit.append(y)
+    if len(visit) < g.n:
+        return None
+    return _Rooted(adjacent, parent, up, depth)
+
+
+def _tree_path(rooted: _Rooted, a: int, b: int) -> list[int]:
+    """Edge ids on the tree path between vertices ``a`` and ``b``."""
+    _, parent, up, depth = rooted
+    path = []
+    while a != b:
+        if depth[a] < depth[b]:
+            a, b = b, a
+        path.append(up[a])
+        a = parent[a]
+    return path
+
+
 def _swap_partners(
     g: WeaklyDynamicGraph, order: list[int], tree: Iterable[int], edge_ids: Iterable[int]
 ) -> dict[int, int | None]:
@@ -187,22 +232,11 @@ def _swap_partners(
     ``order`` that crosses the cut it leaves, or None when it is a bridge.
     """
     edges = g.edges
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid in tree:
-        e = edges[eid]
-        adjacent[e.u].append((e.v, eid))
-        adjacent[e.v].append((e.u, eid))
+    rooted = _rooted(g, tree)
+    adjacent, up = rooted.adjacent, rooted.up
 
-    # Root the tree at vertex 0: every vertex's parent, edge up and depth.
-    parent = [-1] * g.n
-    up = [-1] * g.n
-    depth = [0] * g.n
-    visit = [0]
-    for x in visit:
-        for y, eid in adjacent[x]:
-            if eid != up[x]:
-                parent[y], up[y], depth[y] = x, eid, depth[x] + 1
-                visit.append(y)
+    def key(eid: int) -> tuple[float, int]:
+        return edges[eid].weight, eid
 
     partners: dict[int, int | None] = {}
     for eid in edge_ids:
@@ -221,14 +255,7 @@ def _swap_partners(
                 None,
             )
         else:
-            heaviest = (-math.inf, -1)
-            while a != b:
-                if depth[a] < depth[b]:
-                    a, b = b, a
-                f = up[a]
-                heaviest = max(heaviest, (edges[f].weight, f))
-                a = parent[a]
-            partners[eid] = heaviest[1]
+            partners[eid] = max(_tree_path(rooted, a, b), key=key)
     return partners
 
 

@@ -9,19 +9,48 @@ from pathlib import Path
 
 import pytest
 
+from mstplan import parse_graph, read_plans
+from mstplan.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
-def test_demo_runs(demo):
+def run_python(*args: str, cwd: Path = ROOT) -> subprocess.CompletedProcess:
     path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    proc = subprocess.run(
-        [sys.executable, str(demo)],
-        capture_output=True, text=True, cwd=ROOT,
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, cwd=cwd,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)}, timeout=120,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(demo):
+    proc = run_python(str(demo))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cold_start_query_in_fresh_processes(tmp_path, capsys):
+    generated = run_python(
+        "-m", "mstplan", "generate", "--n", "300", "--extra-edges", "900",
+        "--unstable", "4", "--seed", "5",
+    )
+    assert generated.returncode == 0, generated.stderr
+    graph = tmp_path / "g.graph"
+    plan = tmp_path / "g.plan"
+    graph.write_text(generated.stdout, encoding="utf-8")
+    precomputed = run_python("-m", "mstplan", "precompute", str(graph), "-o", str(plan))
+    assert precomputed.returncode == 0, precomputed.stderr
+
+    ps = read_plans(plan, parse_graph(generated.stdout))
+    for edge, p in sorted(ps.plans.items()):
+        for x in (p.cv - 1, p.cv + 1):
+            argv = ["query", str(plan), str(graph), "--edge", str(edge), "--x", str(x)]
+            queried = run_python("-m", "mstplan", *argv)
+            assert queried.returncode == 0, queried.stderr
+            assert main(argv) == 0
+            assert queried.stdout == capsys.readouterr().out
 
 
 def test_every_name_the_benchmark_imports_resolves():

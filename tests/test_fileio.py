@@ -1,5 +1,6 @@
 """Text formats: graph files, plan files, event streams, random instances."""
 
+import dataclasses
 import json
 import math
 import random
@@ -11,7 +12,9 @@ from helpers import (
     PARALLEL_TEXT,
     THRESHOLD8_TEXT,
     TRIANGLE_TEXT,
+    assert_valid_tree,
     plan_sets_equal,
+    random_pairs,
     tamper_one_weight,
 )
 
@@ -21,11 +24,18 @@ from mstplan import (
     EventSyntaxError,
     FingerprintMismatchError,
     GraphSyntaxError,
+    NonFiniteWeightError,
     PlanFormatError,
+    PlanSet,
     SelfLoopError,
+    SpanningTree,
+    VertexOutOfRangeError,
     format_events,
     format_graph,
     format_value,
+    apply_change,
+    build_graph,
+    constrained_mst_kruskal,
     generate_graph,
     graph_fingerprint,
     parse_events,
@@ -35,6 +45,7 @@ from mstplan import (
     precompute_all,
     read_graph,
     read_plans,
+    tree_total_weight,
     write_graph,
     write_plans,
 )
@@ -139,6 +150,39 @@ def test_edge_validation_reports_line():
     assert str(info.value).startswith("line 2:")
 
 
+def test_bad_edge_line_reported_before_header_count():
+    # Edges are checked as their lines are read, so a bad edge comes first
+    # even when the file also has fewer edge lines than its header declares.
+    with pytest.raises(SelfLoopError) as info:
+        parse_graph("p wdg 3 5\ne 0 1 1\ne 2 2 1\n")
+    assert str(info.value) == "line 3: self-loop at vertex 2"
+    with pytest.raises(VertexOutOfRangeError) as info:
+        parse_graph("p wdg 3 5\ne 0 3 1\n")
+    assert str(info.value).startswith("line 2: edge (0, 3)")
+    err = graph_syntax_error("p wdg 3 5\ne 0 1 nan\n")
+    assert err.line == 2 and "finite" in str(err)
+    err = graph_syntax_error("p wdg 3 5\ne 0 1 1\ne 1 2 2\n")
+    assert err.line is None and "declares 5" in str(err)
+
+
+@pytest.mark.parametrize(
+    "u, v, w, error",
+    [
+        (1, 1, 1.0, SelfLoopError),
+        (0, 3, 1.0, VertexOutOfRangeError),
+        (-1, 1, 1.0, VertexOutOfRangeError),
+        (0, 1, math.inf, NonFiniteWeightError),
+        (0, 1, math.nan, NonFiniteWeightError),
+    ],
+)
+def test_build_graph_refuses_what_the_parse_refuses(u, v, w, error):
+    with pytest.raises(error):
+        build_graph(3, [(0, 1, 1.0, "stable"), (1, 2, 1.0, "stable"), (u, v, w, "stable")])
+    with pytest.raises(Error) as info:
+        parse_graph(f"p wdg 3 3\ne 0 1 1\ne 1 2 1\ne {u} {v} {w}\n")
+    assert str(info.value).startswith("line 4:")
+
+
 def test_graph_file_round_trip_on_disk(tmp_path, threshold8):
     path = tmp_path / "g.graph"
     write_graph(threshold8, path)
@@ -177,9 +221,60 @@ def test_infinite_threshold_serialized_as_string(bridge4):
     (record,) = doc["plans"]
     assert record["d_s"] == "inf"
     assert record["cv"] == "inf"
-    assert "mst_s" not in record
+    assert record["swap"] is None
     loaded = plans_from_json(text, bridge4)
     assert loaded.plans[3].d_s == math.inf
+    assert loaded.plans[3].mst_s is None
+
+
+def test_plan_file_is_one_tree_plus_swaps(multi3):
+    ps = precompute_all(multi3)
+    doc = json.loads(plans_to_json(ps, multi3))
+    assert doc["version"] == 2
+    assert doc["tree"] == [0, 2, 4, 6]
+    assert [(r["edge"], r["swap"]) for r in doc["plans"]] == [(4, 3), (5, 0), (6, 3)]
+    assert all(set(r) == {"edge", "swap", "d_s", "s_v", "cv"} for r in doc["plans"])
+    loaded = plans_from_json(json.dumps(doc), multi3)
+    assert plan_sets_equal(loaded, ps)
+    # Every plan holds the shared tree object, and no tree is built twice.
+    base = loaded.plans[5].mst_s
+    assert loaded.plans[4].mst_v is base and loaded.plans[6].mst_v is base
+    trees = [t for p in loaded.plans.values() for t in (p.mst_v, p.mst_s)]
+    assert len({id(t) for t in trees}) == len({t.edge_ids for t in trees}) == 4
+
+
+# The threshold8 plan file as the previous format wrote it: full trees and
+# frozen values per plan, no version.
+UNVERSIONED_THRESHOLD8_PLAN = """\
+{
+  "fingerprint": {
+    "edges": 6,
+    "n": 6,
+    "sha256": "4cb82ab3fdb060e33dcc936eef90849090d367b9bbb5eb3e64fa2e99bb79e957"
+  },
+  "plans": [
+    {
+      "cv": 8.0,
+      "d_s": 40.0,
+      "edge": 5,
+      "frozen_others": {},
+      "mst_s": [0, 1, 2, 3, 4],
+      "mst_v": [0, 1, 3, 4, 5],
+      "s_v": 32.0
+    }
+  ]
+}
+"""
+
+
+def test_old_and_unversioned_plan_files_refused(threshold8):
+    with pytest.raises(PlanFormatError, match="re-run `mstplan precompute`"):
+        plans_from_json(UNVERSIONED_THRESHOLD8_PLAN, threshold8)
+    for version in (1, 3, "2", None):
+        doc = json.loads(plans_to_json(precompute_all(threshold8), threshold8))
+        doc["version"] = version
+        with pytest.raises(PlanFormatError, match="re-run `mstplan precompute`"):
+            plans_from_json(json.dumps(doc), threshold8)
 
 
 def test_plan_rejected_for_different_graph(tmp_path, threshold8):
@@ -222,43 +317,86 @@ def test_tampered_plan_values_rejected(threshold8):
 
 
 def test_tampered_plan_trees_rejected(threshold8):
-    def wrong_membership(doc):
-        doc["plans"][0]["mst_v"] = doc["plans"][0]["mst_s"]
+    def other_tree(doc):
+        # Another spanning tree whose swap crosses the cut, with other totals.
+        doc["tree"] = [0, 1, 2, 3, 4]
+        doc["plans"][0]["swap"] = 1
 
-    with pytest.raises(PlanFormatError):
-        plans_from_json(mutated(threshold8, wrong_membership), threshold8)
+    with pytest.raises(PlanFormatError, match="s_v"):
+        plans_from_json(mutated(threshold8, other_tree), threshold8)
 
     def cyclic_tree(doc):
-        doc["plans"][0]["mst_s"] = [0, 1, 2, 3, 5]
+        doc["tree"] = [0, 1, 2, 3, 5]
 
     with pytest.raises(PlanFormatError, match="cycle"):
         plans_from_json(mutated(threshold8, cyclic_tree), threshold8)
 
     def wrong_count(doc):
-        doc["plans"][0]["mst_s"] = [0, 1, 2, 3, 3]
+        doc["tree"] = [0, 1, 2, 3, 3]
 
     with pytest.raises(PlanFormatError, match="distinct"):
         plans_from_json(mutated(threshold8, wrong_count), threshold8)
 
     def unknown_edge(doc):
-        doc["plans"][0]["mst_s"] = [0, 1, 2, 3, 99]
+        doc["tree"] = [0, 1, 2, 3, 99]
 
-    with pytest.raises(PlanFormatError):
+    with pytest.raises(PlanFormatError, match="unknown edge 99"):
         plans_from_json(mutated(threshold8, unknown_edge), threshold8)
 
-    def missing_stable_tree(doc):
-        del doc["plans"][0]["mst_s"]
+    def not_a_list(doc):
+        doc["tree"] = {"0": 1}
 
-    with pytest.raises(PlanFormatError, match="mst_s"):
-        plans_from_json(mutated(threshold8, missing_stable_tree), threshold8)
+    with pytest.raises(PlanFormatError, match="list of edge ids"):
+        plans_from_json(mutated(threshold8, not_a_list), threshold8)
+
+    def missing_swap(doc):
+        del doc["plans"][0]["swap"]
+
+    with pytest.raises(PlanFormatError, match="swap"):
+        plans_from_json(mutated(threshold8, missing_swap), threshold8)
+
+    def null_swap_with_finite_d_s(doc):
+        doc["plans"][0]["swap"] = None
+
+    with pytest.raises(PlanFormatError, match="swap"):
+        plans_from_json(mutated(threshold8, null_swap_with_finite_d_s), threshold8)
+
+
+def test_tampered_swaps_rejected(multi3):
+    # The tree is [0, 2, 4, 6]: edge 6 hangs vertex 4 on vertex 0, and the
+    # tree path of edge 5 (1-3) runs over edges 0, 4 and 2.
+    def swap(edge, value):
+        def mutate(doc):
+            (record,) = [r for r in doc["plans"] if r["edge"] == edge]
+            record["swap"] = value
+
+        return mutated(multi3, mutate)
+
+    with pytest.raises(PlanFormatError, match="cut"):
+        plans_from_json(swap(6, 1), multi3)  # edge 1 (1-2) would close a cycle
+    with pytest.raises(PlanFormatError, match="cut"):
+        plans_from_json(swap(5, 6), multi3)  # edge 6 is off edge 5's path
+    with pytest.raises(PlanFormatError, match="outside the tree"):
+        plans_from_json(swap(4, 4), multi3)
+    with pytest.raises(PlanFormatError, match="in the tree"):
+        plans_from_json(swap(5, 5), multi3)
+    for bad in (7, -1, True, "3", 3.0, [3]):
+        with pytest.raises(PlanFormatError, match="not an edge id"):
+            plans_from_json(swap(4, bad), multi3)
 
 
 def test_spurious_stable_tree_on_bridge_rejected(bridge4):
-    def add_mst_s(doc):
-        doc["plans"][0]["mst_s"] = [0, 1, 2]
+    def add_swap(doc):
+        doc["plans"][0]["swap"] = 2
+
+    with pytest.raises(PlanFormatError, match="swap"):
+        plans_from_json(mutated(bridge4, add_swap), bridge4)
+
+    def bridge_off_the_tree(doc):
+        doc["tree"] = [0, 1, 2]
 
     with pytest.raises(PlanFormatError):
-        plans_from_json(mutated(bridge4, add_mst_s), bridge4)
+        plans_from_json(mutated(bridge4, bridge_off_the_tree), bridge4)
 
 
 def test_plan_coverage_checked(multi3):
@@ -274,12 +412,12 @@ def test_plan_coverage_checked(multi3):
     with pytest.raises(PlanFormatError, match="duplicate"):
         plans_from_json(mutated(multi3, duplicate), multi3)
 
-    def stale_frozen(doc):
-        key = next(iter(doc["plans"][0]["frozen_others"]))
-        doc["plans"][0]["frozen_others"][key] += 1
-
-    with pytest.raises(PlanFormatError, match="frozen"):
-        plans_from_json(mutated(multi3, stale_frozen), multi3)
+    # The file stores no frozen values: they are the graph's own, which the
+    # fingerprint pins, so a graph whose other unstable value moved is refused.
+    text = plans_to_json(precompute_all(multi3), multi3)
+    moved = parse_graph(M3_TEXT.replace("u 1 3 7", "u 1 3 8"))
+    with pytest.raises(FingerprintMismatchError):
+        plans_from_json(text, moved)
 
 
 def test_malformed_plan_documents(threshold8):
@@ -301,6 +439,96 @@ def test_malformed_plan_documents(threshold8):
 
     with pytest.raises(PlanFormatError):
         plans_from_json(mutated(threshold8, plan_for_stable_edge), threshold8)
+
+
+def test_plan_file_without_plans():
+    g = parse_graph("p wdg 3 2\ne 0 1 1\ne 1 2 2\n")
+    text = plans_to_json(precompute_all(g), g)
+    assert json.loads(text)["tree"] == []
+    assert plans_from_json(text, g).plans == {}
+    doc = json.loads(text)
+    doc["tree"] = [0, 1]
+    with pytest.raises(PlanFormatError, match="empty tree"):
+        plans_from_json(json.dumps(doc), g)
+
+
+def test_writer_refuses_what_is_not_one_tree_plus_swaps(tmp_path, multi3):
+    ps = precompute_all(multi3)
+    path = tmp_path / "out.plan"
+
+    def refused(plans, match, snapshot=ps.snapshot):
+        with pytest.raises(PlanFormatError, match=match):
+            write_plans(PlanSet(plans=plans, snapshot=snapshot), multi3, path)
+        assert not path.exists()
+
+    path_tree = SpanningTree.from_edge_ids(multi3, [0, 1, 2, 3])
+    # Plan 6 holds neither the shared tree nor a swap of it.
+    elsewhere = dataclasses.replace(ps.plans[6], mst_v=path_tree, mst_s=path_tree)
+    refused({**ps.plans, 6: elsewhere}, "share no spanning tree")
+    # Plan 6 holds the shared tree, but its other tree is two swaps away.
+    two_swaps = dataclasses.replace(ps.plans[6], mst_s=path_tree)
+    refused({**ps.plans, 6: two_swaps}, "one swap")
+    # Plan 4 froze another value of edge 5 than the graph holds.
+    frozen = {**ps.plans[4].frozen_others, 5: 0.0}
+    stale = dataclasses.replace(ps.plans[4], frozen_others=frozen)
+    refused({**ps.plans, 4: stale}, "frozen_others")
+    refused(dict(ps.plans), "other unstable values", snapshot={4: 2.0, 5: 7.0, 6: 0.0})
+
+
+def test_random_plan_files_round_trip_and_survive_swap_tampering():
+    # Tie-heavy graphs with parallel edges and a bridge, along apply_change
+    # chains. Every other edge id put in one plan's swap must be refused or
+    # give spanning trees whose totals are the stored d_s and s_v.
+    rng = random.Random(5150)
+    draws = (
+        lambda: float(rng.randint(1, 3)),
+        lambda: float(rng.choice((-1, 1)) * rng.randint(1, 3)),
+        lambda: rng.uniform(-5.0, 5.0),
+    )
+    loads = refusals = 0
+    for trial in range(150):
+        draw = draws[trial % 3]
+        n = rng.randint(2, 9)
+        pairs = random_pairs(rng, n, rng.randint(0, 2 * n))
+        pairs += rng.choices(pairs, k=rng.randint(1, 3))  # parallel edges
+        pairs.append((rng.randrange(n), n))  # a bridge to one more vertex
+        unstable = rng.sample(range(len(pairs)), rng.randint(1, min(5, len(pairs))))
+        g = build_graph(
+            n + 1,
+            [
+                (u, v, draw(), "unstable" if i in unstable else "stable")
+                for i, (u, v) in enumerate(pairs)
+            ],
+        )
+        ps = precompute_all(g)
+        for _ in range(3):
+            text = plans_to_json(ps, g)
+            assert plan_sets_equal(plans_from_json(text, g), ps)
+            assert json.loads(text)["tree"] == sorted(constrained_mst_kruskal(g).edge_ids)
+            x = g.weight(rng.randrange(g.num_edges)) if rng.random() < 0.5 else draw()
+            _, ps = apply_change(ps, g, rng.choice(unstable), x)
+
+        doc = json.loads(plans_to_json(ps, g))
+        record = rng.choice(doc["plans"])
+        for swap in range(g.num_edges):
+            if swap == record["swap"]:
+                continue
+            record_swap = record["swap"]
+            record["swap"] = swap
+            try:
+                loaded = plans_from_json(json.dumps(doc), g).plans[record["edge"]]
+            except PlanFormatError:
+                refusals += 1
+            else:
+                loads += 1
+                for tree in (loaded.mst_v, loaded.mst_s):
+                    assert_valid_tree(tree, g)
+                assert loaded.edge_id in loaded.mst_v.edge_ids
+                assert loaded.edge_id not in loaded.mst_s.edge_ids
+                assert tree_total_weight(loaded.mst_s, g) == loaded.d_s
+                assert tree_total_weight(loaded.mst_v, g, exclude=loaded.edge_id) == loaded.s_v
+            record["swap"] = record_swap
+    assert refusals > 0 and loads > 0
 
 
 # --------------------------------------------------------------------------
