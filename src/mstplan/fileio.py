@@ -50,7 +50,7 @@ from .graph import (
     build_graph,
     unstable_values,
 )
-from .plans import EdgePlan, PlanSet, _Rooted, _rooted, _tree_path
+from .plans import EdgePlan, PlanSet
 from .constrained import SpanningTree, tree_total_weight
 
 
@@ -306,6 +306,50 @@ def plans_from_json(text: str, g: WeaklyDynamicGraph) -> PlanSet:
             f"graph's unstable edges are {sorted(g.unstable_ids)}"
         )
     return PlanSet(plans=plans, snapshot=snapshot)
+
+
+class _Rooted(NamedTuple):
+    """A spanning tree rooted at vertex 0."""
+
+    parent: list[int]
+    up: list[int]  # the edge to the parent; -1 at the root
+    depth: list[int]
+
+
+def _rooted(g: WeaklyDynamicGraph, tree: list[int]) -> _Rooted | None:
+    """Root ``tree``, edge ids of ``g``, at vertex 0; None if they are not a spanning tree."""
+    edges = g.edges
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for eid in tree:
+        e = edges[eid]
+        adjacent[e.u].append((e.v, eid))
+        adjacent[e.v].append((e.u, eid))
+    parent = [-1] * g.n
+    up = [-1] * g.n
+    depth = [0] * g.n
+    visit = [0]
+    for x in visit:
+        if len(visit) > g.n:
+            return None  # a vertex was reached twice: the edges hold a cycle
+        for y, eid in adjacent[x]:
+            if eid != up[x]:
+                parent[y], up[y], depth[y] = x, eid, depth[x] + 1
+                visit.append(y)
+    if len(visit) < g.n:
+        return None
+    return _Rooted(parent, up, depth)
+
+
+def _tree_path(rooted: _Rooted, a: int, b: int) -> list[int]:
+    """Edge ids on the tree path between vertices ``a`` and ``b``."""
+    parent, up, depth = rooted
+    path = []
+    while a != b:
+        if depth[a] < depth[b]:
+            a, b = b, a
+        path.append(up[a])
+        a = parent[a]
+    return path
 
 
 def _decode_tree(ids, g: WeaklyDynamicGraph) -> tuple[SpanningTree, _Rooted]:

@@ -5,6 +5,9 @@ set of designated "unstable" edges whose current values may be replaced at any
 time via :func:`set_unstable_weight`. Parallel edges are allowed, self-loops
 are not, and the full edge set must connect all vertices.
 
+Every minimum spanning tree a graph can have is one fixed set of stable edges
+plus a tree of its small :class:`Kernel`, built once and shared with copies.
+
 Graphs are safe to share read-only across threads; weight replacement needs
 exclusive access. There is no internal locking.
 """
@@ -74,6 +77,87 @@ class DisjointSetUnion:
         return True
 
 
+def _kruskal(order: Iterable[int], ends, parent: list[int], need: int) -> list[int]:
+    """Ids of ``order`` that join two sets of ``parent``, until ``need`` have.
+
+    Edge ``eid`` joins ``ends[eid]``; ``parent`` is updated in place. With
+    ``need`` 0, ``parent`` must already be one set. The union-find is
+    inlined: this loop is most of a kernel build.
+    """
+    taken: list[int] = []
+    for eid in order:
+        a, b = ends[eid]
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            taken.append(eid)
+            if len(taken) == need:
+                break
+    return taken
+
+
+@dataclass(frozen=True, slots=True)
+class Kernel:
+    """What a graph's minimum spanning trees share at any unstable values.
+
+    With k unstable edges, the ``(weight, id)`` minimum spanning tree is
+    always ``forced`` plus a tree of the kernel graph (Eppstein, "Offline
+    algorithms for dynamic minimum spanning tree problems", J. Algorithms
+    1994). ``forced`` holds the stable edges Kruskal takes when every
+    unstable edge ranks first; contracting them leaves ``supers`` <= k + 1
+    super-vertices. The kernel's edges are the unstable ones and ``stable``,
+    the at most k other stable edges Kruskal then takes, in ``(weight, id)``
+    order; ``ends`` maps each to the super-vertices it joins.
+    """
+
+    forced: frozenset[int]
+    supers: int
+    stable: tuple[int, ...]
+    ends: dict[int, tuple[int, int]]
+
+    def spanning(self, order: Iterable[int]) -> list[int] | None:
+        """Kernel edges of ``order`` Kruskal takes; None if they do not span the kernel."""
+        need = self.supers - 1
+        tree = _kruskal(order, self.ends, list(range(self.supers)), need)
+        return tree if len(tree) == need else None
+
+
+def _build_kernel(g: "WeaklyDynamicGraph") -> Kernel:
+    edges = g.edges
+    n = g.n
+    ends = [(e.u, e.v) for e in edges]
+    weight = [e.weight for e in edges]
+    unstable = set(g.unstable_ids)
+    stable = [eid for eid in range(len(edges)) if eid not in unstable]
+    # A stable sort of ascending ids keeps equal weights in id order.
+    stable.sort(key=weight.__getitem__)
+    parent = list(range(n))
+    joined = _kruskal(g.unstable_ids, ends, parent, n - 1)
+    forced = _kruskal(stable, ends, parent, n - 1 - len(joined))
+    parent = list(range(n))
+    _kruskal(forced, ends, parent, len(forced))
+    contracted = list(parent)  # a root per component of ``forced``
+    supers = n - len(forced)
+    kernel_stable = _kruskal(stable, ends, parent, supers - 1)
+    index: dict[int, int] = {}  # component root -> super-vertex
+
+    def super_of(v: int) -> int:
+        while contracted[v] != v:
+            v = contracted[v]
+        return index.setdefault(v, len(index))
+
+    kernel_ends = {
+        eid: (super_of(ends[eid][0]), super_of(ends[eid][1]))
+        for eid in (*kernel_stable, *g.unstable_ids)
+    }
+    return Kernel(frozenset(forced), supers, tuple(kernel_stable), kernel_ends)
+
+
 @dataclass
 class WeaklyDynamicGraph:
     """A weighted undirected multigraph whose unstable edges may change value.
@@ -85,7 +169,7 @@ class WeaklyDynamicGraph:
     n: int
     edges: list[Edge]
     unstable_ids: tuple[int, ...]
-    _stable_order: list[int] | None = field(default=None, repr=False, compare=False)
+    _kernel: Kernel | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_edges(self) -> int:
@@ -102,26 +186,20 @@ class WeaklyDynamicGraph:
     def copy(self) -> "WeaklyDynamicGraph":
         """Independent copy; mutating one graph's weights leaves the other alone.
 
-        The copy shares the stable edge order, sorting it first if need be,
-        so plans built on either graph are accepted by the other.
+        The copy shares the kernel, building it first if need be, so plans
+        built on either graph are accepted by the other.
         """
-        return WeaklyDynamicGraph(
-            self.n, list(self.edges), self.unstable_ids, self.stable_order()
-        )
+        return WeaklyDynamicGraph(self.n, list(self.edges), self.unstable_ids, self.kernel())
 
-    def stable_order(self) -> list[int]:
-        """Stable edge ids in ``(weight, id)`` order; treat as read-only.
+    def kernel(self) -> Kernel:
+        """The graph's :class:`Kernel`; treat as read-only.
 
-        Stable weights never change, so the order is sorted on first use and
+        It depends on no unstable value, so it is built on first use and
         kept for the life of the graph and its copies.
         """
-        if self._stable_order is None:
-            edges = self.edges
-            ids = [e.id for e in edges if e.kind is EdgeKind.STABLE]
-            # A stable sort of ascending ids keeps equal weights in id order.
-            ids.sort(key=lambda eid: edges[eid].weight)
-            self._stable_order = ids
-        return self._stable_order
+        if self._kernel is None:
+            self._kernel = _build_kernel(self)
+        return self._kernel
 
 
 def _coerce_kind(kind) -> EdgeKind:

@@ -8,21 +8,21 @@ The crossover sits at ``cv = d_s - s_v``. Both trees and the threshold are
 computed once; after that, any new value of ``x`` is answered by a single
 comparison with no graph work at all.
 
-Both trees come from the graph's minimum spanning tree, unique under the
-``(weight, id)`` order of the edges. That order is the graph's cached order of
-its stable edges with the few unstable ones merged in at their values, so a
-build sorts nothing but them; one union-find scan of it gives the tree. If
-the edge is in the tree, that tree is ``mst_v`` and ``mst_s`` swaps the edge
-for the first edge in the order that crosses the cut it leaves (none: the
-edge is a bridge). Otherwise the tree is ``mst_s`` and ``mst_v`` swaps the
-edge in for the heaviest edge on the tree path between its endpoints.
+Both trees come from the graph's kernel (:class:`~mstplan.graph.Kernel`):
+at any values, a minimum spanning tree under the ``(weight, id)`` order is
+the kernel's fixed stable edges plus a Kruskal over at most 2k kernel edges
+between at most k + 1 super-vertices. A build sorts those edges once at the
+current values; ``mst_s`` is their Kruskal without the edge (no tree: the
+edge is a bridge) and ``mst_v`` their Kruskal with the edge taken first.
+One of the two is the graph's minimum spanning tree, and every plan of a
+build shares that tree object.
 
 With several unstable edges, one plan is kept per edge, each computed with
 the *other* unstable edges frozen at their snapshot values. Under the
 one-change-at-a-time contract the plan for the changed edge is exact at the
 moment of the change; all plans are then rebuilt so the next change is exact
-too. They all freeze one snapshot, so a rebuild is one scan plus one swap per
-plan.
+too. They all freeze one snapshot, so a rebuild touches no edge outside the
+kernel.
 
 Plans and plan sets are immutable once built. Selection is read-only and may
 run concurrently with a rebuild as long as the rebuilt plan set is published
@@ -32,10 +32,8 @@ atomically (single writer, many readers).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
 from typing import Iterable, Mapping, NamedTuple
 
 from .constrained import SpanningTree, tree_total_weight
@@ -49,6 +47,7 @@ from .errors import (
 )
 from .graph import (
     EdgeKind,
+    Kernel,
     WeaklyDynamicGraph,
     set_unstable_weight,
     unstable_values,
@@ -95,12 +94,12 @@ class PlanSet:
 
     plans: Mapping[int, EdgePlan]
     snapshot: Mapping[int, float]
-    # The stable order of the graph the plans were built from. Only that
-    # graph and its copies share it, so ``apply_change`` refuses a plan set
-    # whose order is another graph's. A loaded plan set has none: the file's
+    # The kernel of the graph the plans were built from. Only that graph and
+    # its copies share it, so ``apply_change`` refuses a plan set whose
+    # kernel is another graph's. A loaded plan set has none: the file's
     # fingerprint already bound it to its graph, and its first change
     # rebuilds every plan rather than keep one.
-    _stable_order: list[int] | None = field(default=None, repr=False, compare=False)
+    _kernel: Kernel | None = field(default=None, repr=False, compare=False)
 
 
 class Selection(NamedTuple):
@@ -134,131 +133,6 @@ def _frozen_view(
     return view
 
 
-def _edge_order(g: WeaklyDynamicGraph) -> list[int]:
-    """Every edge id in ``(weight, id)`` order at the graph's current values."""
-    edges = g.edges
-
-    def key(eid: int) -> tuple[float, int]:
-        return edges[eid].weight, eid
-
-    stable = g.stable_order()
-    order: list[int] = []
-    start = 0
-    for eid in sorted(g.unstable_ids, key=key):
-        at = bisect_left(stable, key(eid), lo=start, key=key)
-        order += stable[start:at]
-        order.append(eid)
-        start = at
-    order += stable[start:]
-    return order
-
-
-def _kruskal_scan(g: WeaklyDynamicGraph, order: list[int]) -> list[int]:
-    """Edge ids of the minimum spanning tree: Kruskal's scan of ``order``."""
-    # The union-find is inlined: this loop is most of a rebuild's time.
-    parent = list(range(g.n))
-    edges = g.edges
-    need = g.n - 1
-    tree: list[int] = []
-    for eid in order:
-        e = edges[eid]
-        a, b = e.u, e.v
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            parent[a] = b
-            tree.append(eid)
-            if len(tree) == need:
-                break
-    return tree
-
-
-class _Rooted(NamedTuple):
-    """A spanning tree rooted at vertex 0."""
-
-    adjacent: list[list[tuple[int, int]]]  # per vertex: (neighbour, edge id)
-    parent: list[int]
-    up: list[int]  # the edge to the parent; -1 at the root
-    depth: list[int]
-
-
-def _rooted(g: WeaklyDynamicGraph, tree: Iterable[int]) -> _Rooted | None:
-    """Root ``tree``, edge ids of ``g``, at vertex 0; None if they are not a spanning tree."""
-    edges = g.edges
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid in tree:
-        e = edges[eid]
-        adjacent[e.u].append((e.v, eid))
-        adjacent[e.v].append((e.u, eid))
-    parent = [-1] * g.n
-    up = [-1] * g.n
-    depth = [0] * g.n
-    visit = [0]
-    for x in visit:
-        if len(visit) > g.n:
-            return None  # a vertex was reached twice: the edges hold a cycle
-        for y, eid in adjacent[x]:
-            if eid != up[x]:
-                parent[y], up[y], depth[y] = x, eid, depth[x] + 1
-                visit.append(y)
-    if len(visit) < g.n:
-        return None
-    return _Rooted(adjacent, parent, up, depth)
-
-
-def _tree_path(rooted: _Rooted, a: int, b: int) -> list[int]:
-    """Edge ids on the tree path between vertices ``a`` and ``b``."""
-    _, parent, up, depth = rooted
-    path = []
-    while a != b:
-        if depth[a] < depth[b]:
-            a, b = b, a
-        path.append(up[a])
-        a = parent[a]
-    return path
-
-
-def _swap_partners(
-    g: WeaklyDynamicGraph, order: list[int], tree: Iterable[int], edge_ids: Iterable[int]
-) -> dict[int, int | None]:
-    """The one edge each of ``edge_ids`` swaps with in ``tree``, the MST of ``order``.
-
-    An edge outside the tree swaps with the heaviest edge on the tree path
-    between its endpoints; an edge inside it with the first edge in
-    ``order`` that crosses the cut it leaves, or None when it is a bridge.
-    """
-    edges = g.edges
-    rooted = _rooted(g, tree)
-    adjacent, up = rooted.adjacent, rooted.up
-
-    def key(eid: int) -> tuple[float, int]:
-        return edges[eid].weight, eid
-
-    partners: dict[int, int | None] = {}
-    for eid in edge_ids:
-        e = edges[eid]
-        a, b = e.u, e.v
-        if up[a] == eid or up[b] == eid:
-            below = bytearray(g.n)  # the side of the cut away from the root
-            visit = [a if up[a] == eid else b]
-            for x in visit:
-                below[x] = 1
-                visit.extend(y for y, f in adjacent[x] if f != up[x])
-            # The edge is the lightest across its cut, so search after it.
-            partners[eid] = next(
-                (f for f in islice(order, order.index(eid) + 1, None)
-                 if below[edges[f].u] != below[edges[f].v]),
-                None,
-            )
-        else:
-            partners[eid] = max(_tree_path(rooted, a, b), key=key)
-    return partners
-
-
 def _build_plans(
     g: WeaklyDynamicGraph, edge_ids: Iterable[int], previous: Mapping[int, EdgePlan]
 ) -> dict[int, EdgePlan]:
@@ -267,6 +141,7 @@ def _build_plans(
     A plan is a function of the values it froze, so a ``previous`` plan that
     froze the same ones is kept as it is; a tree whose edge set comes up
     again is kept too, as its cached stable sum depends on no value.
+    ``previous`` must come from this graph's kernel.
     """
     values = unstable_values(g)
     frozen = {eid: {k: v for k, v in values.items() if k != eid} for eid in edge_ids}
@@ -277,32 +152,32 @@ def _build_plans(
     }
     if len(kept) == len(frozen):
         return kept
+    kernel = g.kernel()
+    # Every tree is ``kernel.forced`` plus kernel edges; key trees by the latter.
     known = {
-        t.edge_ids: t
+        t.edge_ids.intersection(kernel.ends): t
         for p in previous.values()
         for t in (p.mst_s, p.mst_v)
         if t is not None
     }
 
-    def tree_of(ids: frozenset[int]) -> SpanningTree:
-        return known.get(ids) or SpanningTree.from_edge_ids(g, ids)
+    def tree_of(part: list[int]) -> SpanningTree:
+        key = frozenset(part)
+        if key not in known:
+            known[key] = SpanningTree.from_edge_ids(g, kernel.forced | key)
+        return known[key]
 
-    order = _edge_order(g)
-    tree = _kruskal_scan(g, order)
-    partners = _swap_partners(g, order, tree, [eid for eid in frozen if eid not in kept])
-    mst = tree_of(frozenset(tree))
+    edges = g.edges
+    order = sorted(kernel.ends, key=lambda eid: (edges[eid].weight, eid))
     plans = {}
     for eid, others in frozen.items():
         if eid in kept:
             plans[eid] = kept[eid]
             continue
-        partner = partners[eid]
-        if eid in mst.edge_ids:
-            mst_v = mst
-            mst_s = None if partner is None else tree_of(mst.edge_ids - {eid} | {partner})
-        else:
-            mst_s = mst
-            mst_v = tree_of(mst.edge_ids - {partner} | {eid})
+        rest = [f for f in order if f != eid]
+        avoiding = kernel.spanning(rest)
+        mst_s = None if avoiding is None else tree_of(avoiding)
+        mst_v = tree_of(kernel.spanning([eid, *rest]))
         d_s = math.inf if mst_s is None else tree_total_weight(mst_s, g)
         s_v = tree_total_weight(mst_v, g, exclude=eid)
         plans[eid] = EdgePlan(
@@ -352,9 +227,9 @@ def select_tree(plan: EdgePlan, x: float) -> Selection:
 
 
 def precompute_all(g: WeaklyDynamicGraph) -> PlanSet:
-    """One plan per unstable edge: one minimum spanning tree, then one swap each."""
+    """One plan per unstable edge, each tree one Kruskal over the graph's kernel."""
     plans = _build_plans(g, g.unstable_ids, {})
-    return PlanSet(plans, unstable_values(g), g.stable_order())
+    return PlanSet(plans, unstable_values(g), g.kernel())
 
 
 def apply_change(
@@ -366,10 +241,10 @@ def apply_change(
     is exact because every other unstable edge still holds its snapshot value;
     a plan set built at other values than the graph's, or on a graph other
     than ``g`` and its copies, is refused. The graph is then mutated and the
-    plans rebuilt from one scan of the edge order plus one swap per plan,
-    keeping the plans and trees that did not move, so the next change is
-    answered just as fast. Misuse, such as a non-finite ``new_x``, is refused
-    before any mutation, and a rebuild that raises puts the old value back.
+    plans rebuilt from the graph's kernel, keeping the plans and trees that
+    did not move, so the next change is answered just as fast. Misuse, such
+    as a non-finite ``new_x``, is refused before any mutation, and a rebuild
+    that raises puts the old value back.
     """
     e = g.edge(edge_id)
     if e.kind is not EdgeKind.UNSTABLE:
@@ -383,17 +258,17 @@ def apply_change(
             "plan set was built at other unstable values than the graph holds; "
             "rebuild it with precompute_all"
         )
-    if ps._stable_order is not None and ps._stable_order is not g.stable_order():
+    if ps._kernel is not None and ps._kernel is not g.kernel():
         raise StalePlanSetError(
             "plan set was built on another graph; rebuild it with precompute_all"
         )
     immediate = select_tree(plan, new_x)
-    previous = ps.plans if ps._stable_order is not None else {}
+    previous = ps.plans if ps._kernel is not None else {}
     set_unstable_weight(g, edge_id, new_x)
     try:
         plans = _build_plans(g, g.unstable_ids, previous)
     except BaseException:
         set_unstable_weight(g, edge_id, e.weight)
         raise
-    return immediate, PlanSet(plans, unstable_values(g), g.stable_order())
+    return immediate, PlanSet(plans, unstable_values(g), g.kernel())
 

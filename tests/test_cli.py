@@ -83,7 +83,8 @@ def test_query_reads_plans_without_tree_search(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("a spanning tree search ran during query")
 
-    monkeypatch.setattr("mstplan.plans._kruskal_scan", boom)
+    monkeypatch.setattr("mstplan.graph._build_kernel", boom)
+    monkeypatch.setattr("mstplan.graph._kruskal", boom)
     monkeypatch.setattr("mstplan.cli.constrained_mst_kruskal", boom)
     assert main(["query", plan, graph, "--edge", "5", "--x", "7"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "variable 39"

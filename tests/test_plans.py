@@ -316,22 +316,74 @@ def test_rebuild_runs_no_constrained_search(monkeypatch, tmp_path):
                     monkeypatch.setattr(module, search, boom)
 
     g = parse_graph(M3_TEXT)
-    assert g._stable_order is None  # parsing sorts nothing
+    assert g._kernel is None  # parsing builds no kernel
     ps = precompute_all(g)
-    order = g._stable_order
-    assert order == [2, 0, 3, 1]  # stable weights 3, 4, 5, 6
-    assert g.copy()._stable_order is order
+    kernel = g._kernel
+    assert ps._kernel is kernel
+    assert kernel.forced == {2}  # stable weights 3, 4, 5, 6; only 2 is forced
+    assert kernel.supers == 4
+    assert kernel.stable == (0, 3, 1)
+    assert g.copy()._kernel is kernel
     _, ps = apply_change(ps, g, 4, 9.0)
     _, ps = apply_change(ps, g, 6, 0.5)
+    assert ps._kernel is kernel
     path = tmp_path / "m3.plan"
     write_plans(ps, g, path)
     loaded = parse_graph(format_graph(g))
-    read_plans(path, loaded)
-    assert loaded._stable_order is None  # loading plans sorts nothing either
+    assert read_plans(path, loaded)._kernel is None
+    assert loaded._kernel is None  # loading plans builds none either
 
     precompute_plan(g, 5, {4: 1.0, 6: 8.0})
     set_unstable_weight(g, 5, 3.0)
-    assert g._stable_order is order
+    assert g._kernel is kernel
+
+
+def test_kernel_holds_every_minimum_tree():
+    # Whatever the unstable values, the minimum spanning tree contains the
+    # kernel's forced edges and uses no stable edge outside the kernel.
+    rng = random.Random(1994)
+    shapes = [
+        # a cycle made only of unstable edges
+        (5, [(0, 1, 1, "u"), (1, 2, 2, "u"), (2, 0, 3, "u"), (2, 3, 2, "s"),
+             (3, 4, 1, "s"), (4, 0, 3, "s"), (1, 3, 2, "s")]),
+        # an unstable bridge
+        (4, [(0, 1, 1, "s"), (1, 2, 2, "s"), (2, 0, 2, "s"), (2, 3, 1, "u")]),
+        # two parallel unstable edges
+        (3, [(0, 1, 2, "u"), (0, 1, 2, "u"), (0, 1, 3, "s"), (1, 2, 1, "s"),
+             (0, 2, 1, "s")]),
+        # every edge unstable
+        (4, [(0, 1, 1, "u"), (1, 2, 1, "u"), (2, 3, 2, "u"), (3, 0, 1, "u"),
+             (0, 2, 3, "u")]),
+        # no unstable edge
+        (4, [(0, 1, 1, "s"), (1, 2, 1, "s"), (2, 3, 2, "s"), (3, 0, 1, "s")]),
+    ]
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        pairs = random_pairs(rng, n, rng.randint(0, 2 * n))
+        pairs += rng.choices(pairs, k=rng.randint(0, 2))  # parallel edges
+        unstable = set(rng.sample(range(len(pairs)), rng.randint(1, min(5, len(pairs)))))
+        shapes.append((n, [
+            (u, v, rng.choice([1, 2, 3, rng.uniform(0, 4)]), "u" if i in unstable else "s")
+            for i, (u, v) in enumerate(pairs)
+        ]))
+    for n, specs in shapes:
+        g = build_graph(n, [
+            (u, v, w, "unstable" if kind == "u" else "stable") for u, v, w, kind in specs
+        ])
+        kernel = g.kernel()
+        fields = (kernel.forced, kernel.supers, kernel.stable, dict(kernel.ends))
+        k = len(g.unstable_ids)
+        assert kernel.supers <= k + 1
+        assert len(kernel.stable) <= k
+        reach = kernel.forced | set(kernel.stable) | set(g.unstable_ids)
+        for _ in range(6):
+            for eid in g.unstable_ids:
+                tie = g.edges[rng.randrange(g.num_edges)].weight
+                set_unstable_weight(g, eid, rng.choice([tie, rng.uniform(-1.0, 5.0)]))
+            tree = constrained_mst_kruskal(g).edge_ids
+            assert kernel.forced <= tree <= reach
+            assert g.kernel() is kernel
+            assert (kernel.forced, kernel.supers, kernel.stable, kernel.ends) == fields
 
 
 def test_change_chains_match_the_constrained_kruskal_build():
