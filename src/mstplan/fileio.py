@@ -6,7 +6,7 @@ comes before any edge line; ``e <u> <v> <w>`` declares a stable edge and
 edge lines. Lines whose first token is ``c`` are comments; blank lines and
 trailing whitespace are tolerated.
 
-Plan files are JSON (format ``"version": 2``). Every plan shares one
+Plan files are JSON (format ``"version": 3``). Every plan shares one
 spanning tree, the graph's minimum spanning tree at the snapshot, so the file
 stores its sorted edge ids once as ``"tree"``, and per unstable edge a record
 ``{"edge", "swap", "d_s", "s_v", "cv"}``: ``swap`` is the one edge the plan's
@@ -16,10 +16,16 @@ give ``mst_v``. Infinities are serialized as the string "inf". Every plan
 file carries a fingerprint of the graph it was computed from, including its
 unstable values, and loading against a graph with a different fingerprint
 is refused; the values each plan froze are that snapshot, so none are
-stored. A load checks the tree once (``n - 1`` distinct ids, no cycle),
-each swap against the cut its edge leaves, and each record's totals at the
-graph's values; it does not check that the trees are minimum. Files of the
-earlier format, without a version, are refused: re-run ``precompute``.
+stored. The fingerprint is ``{"n", "edges", "sha256"}``, the hash taken
+over the edge fields in id order: every ``u``, then every ``v``, as int64,
+then every weight as float64, all little-endian whatever the machine, then
+one kind byte per edge (1 unstable, 0 stable). A weight of ``-0.0`` is
+hashed as ``0.0``, as the graph text writes both as ``0``. A load checks the
+tree once (``n - 1`` distinct ids, no cycle), each swap against the cut its
+edge leaves, and each record's totals at the graph's values; it does not
+check that the trees are minimum. Files of earlier formats, version 2 with
+its text-hash fingerprint or without a version, are refused: re-run
+``precompute``.
 
 Event streams are lines ``<seq> <edge_id> <new_x>`` with strictly
 increasing sequence numbers, one weight change per line.
@@ -31,6 +37,7 @@ import hashlib
 import json
 import math
 import random
+import struct
 from pathlib import Path
 from typing import NamedTuple
 
@@ -46,6 +53,7 @@ from .graph import (
     EdgeKind,
     WeaklyDynamicGraph,
     _graph_of,
+    _new_edge,
     _validate_edge,
     build_graph,
     unstable_values,
@@ -96,7 +104,7 @@ def parse_graph(text: str) -> WeaklyDynamicGraph:
             # w - w is 0.0 only for finite w.
             if not (0 <= u < n and 0 <= v < n and u != v and w - w == 0.0):
                 u, v, w = _edge_fields(fields, lineno, n)
-            edges.append(Edge(len(edges), u, v, w, unstable if tag == "u" else stable))
+            edges.append(_new_edge(len(edges), u, v, w, unstable if tag == "u" else stable))
         elif tag == "p":
             if m is not None:
                 raise GraphSyntaxError("duplicate header", line=lineno)
@@ -172,16 +180,31 @@ def write_graph(g: WeaklyDynamicGraph, path: str | Path) -> None:
 
 
 def graph_fingerprint(g: WeaklyDynamicGraph) -> dict:
-    """Identity of a graph's content: size counts plus a canonical-text hash."""
-    digest = hashlib.sha256(format_graph(g).encode("utf-8")).hexdigest()
-    return {"n": g.n, "edges": g.num_edges, "sha256": digest}
+    """Identity of a graph's content: size counts plus a hash of its edge fields.
+
+    The module docstring gives the byte layout; its fixed byte order lets a
+    plan file move between machines.
+    """
+    edges = g.edges
+    m = len(edges)
+    kinds = bytearray(m)
+    for eid in g.unstable_ids:
+        kinds[eid] = 1
+    fields = struct.pack(
+        f"<{2 * m}q{m}d",
+        *[e.u for e in edges],
+        *[e.v for e in edges],
+        *[e.weight + 0.0 for e in edges],  # -0.0 + 0.0 is 0.0
+    )
+    digest = hashlib.sha256(fields + kinds).hexdigest()
+    return {"n": g.n, "edges": m, "sha256": digest}
 
 
 # --------------------------------------------------------------------------
 # plan files
 
 
-_PLAN_FORMAT = 2
+_PLAN_FORMAT = 3
 
 
 def plans_to_json(ps: PlanSet, g: WeaklyDynamicGraph) -> str:

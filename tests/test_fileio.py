@@ -1,6 +1,7 @@
 """Text formats: graph files, plan files, event streams, random instances."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -30,6 +31,7 @@ from mstplan import (
     SelfLoopError,
     SpanningTree,
     VertexOutOfRangeError,
+    WeaklyDynamicGraph,
     format_events,
     format_graph,
     format_value,
@@ -45,6 +47,7 @@ from mstplan import (
     precompute_all,
     read_graph,
     read_plans,
+    set_unstable_weight,
     tree_total_weight,
     write_graph,
     write_plans,
@@ -199,6 +202,99 @@ def test_fingerprint_tracks_content(triangle):
     assert graph_fingerprint(other)["sha256"] != fp["sha256"]
 
 
+def _edited(g, edges):
+    """``g`` with the edges at the given ids replaced, unchecked."""
+    new = list(g.edges)
+    for i, e in edges.items():
+        new[i] = dataclasses.replace(e, id=i)
+    unstable = tuple(e.id for e in new if e.kind is EdgeKind.UNSTABLE)
+    return WeaklyDynamicGraph(g.n, new, unstable)
+
+
+def test_fingerprint_agrees_across_paths_and_tracks_every_field(tmp_path):
+    rng = random.Random(4242)
+    draws = (
+        lambda: rng.choice((0.0, -0.0, 1.0, -1.0, 2.0)),
+        lambda: rng.uniform(-5.0, 5.0),
+    )
+    for trial in range(120):
+        draw = draws[trial % 2]
+        n = rng.randint(2, 10)
+        pairs = random_pairs(rng, n, rng.randint(1, 2 * n))
+        unstable = set(rng.sample(range(len(pairs)), rng.randint(1, min(4, len(pairs)))))
+        specs = [
+            (u, v, draw(), "unstable" if i in unstable else "stable")
+            for i, (u, v) in enumerate(pairs)
+        ]
+        g = build_graph(n, specs)
+        fp = graph_fingerprint(g)
+        text = f"p wdg {n} {len(specs)}\n" + "".join(
+            f"{'u' if kind == 'unstable' else 'e'} {u} {v} {w!r}\n" for u, v, w, kind in specs
+        )
+        write_graph(g, tmp_path / "g.graph")
+        for same in (
+            parse_graph(text),
+            parse_graph(format_graph(g)),
+            read_graph(tmp_path / "g.graph"),
+            g.copy(),
+        ):
+            assert graph_fingerprint(same) == fp
+        eid = rng.choice(sorted(unstable))
+        x = g.weight(eid)
+        set_unstable_weight(g, eid, x + 1.0)
+        assert graph_fingerprint(g) != fp
+        set_unstable_weight(g, eid, x)
+        assert graph_fingerprint(g) == fp
+
+        # One field of one edge, n, or the order of two edges changes.
+        i = rng.randrange(g.num_edges)
+        e = g.edge(i)
+        flipped = EdgeKind.STABLE if e.kind is EdgeKind.UNSTABLE else EdgeKind.UNSTABLE
+        changed = [
+            dataclasses.replace(g, n=n + 1),
+            _edited(g, {i: dataclasses.replace(e, u=e.v, v=e.u)}),
+            _edited(g, {i: dataclasses.replace(e, weight=math.nextafter(e.weight, 9.0))}),
+            _edited(g, {i: dataclasses.replace(e, kind=flipped)}),
+        ]
+        for end in range(n):
+            if end not in (e.u, e.v):
+                changed.append(_edited(g, {i: dataclasses.replace(e, u=end)}))
+                changed.append(_edited(g, {i: dataclasses.replace(e, v=end)}))
+        for f in g.edges:
+            if (f.u, f.v, f.weight + 0.0, f.kind) != (e.u, e.v, e.weight + 0.0, e.kind):
+                changed.append(_edited(g, {i: f, f.id: e}))
+        for other in changed:
+            assert graph_fingerprint(other) != fp
+
+
+def test_fingerprint_hashes_little_endian_fields(triangle):
+    # TRIANGLE_TEXT: e 0 1 1, e 1 2 2, u 0 2 10.
+    layout = (
+        bytes.fromhex("00" * 8 + "01" + "00" * 7 + "00" * 8)  # u
+        + bytes.fromhex("01" + "00" * 7 + "02" + "00" * 7 + "02" + "00" * 7)  # v
+        + bytes.fromhex("000000000000f03f" "0000000000000040" "0000000000002440")  # weights
+        + bytes([0, 0, 1])  # kinds
+    )
+    assert graph_fingerprint(triangle) == {
+        "n": 3,
+        "edges": 3,
+        "sha256": hashlib.sha256(layout).hexdigest(),
+    }
+
+
+def test_negative_zero_fingerprints_as_zero(tmp_path):
+    assert graph_fingerprint(parse_graph("p wdg 2 1\ne 0 1 -0\n")) == graph_fingerprint(
+        parse_graph("p wdg 2 1\ne 0 1 0\n")
+    )
+    g = build_graph(3, [(0, 1, -0.0, "stable"), (1, 2, 1.0, "stable"), (0, 2, -0.0, "unstable")])
+    ps = precompute_all(g)
+    write_plans(ps, g, tmp_path / "g.plan")
+    write_graph(g, tmp_path / "g.graph")
+    again = read_graph(tmp_path / "g.graph")
+    assert math.copysign(1.0, again.weight(2)) == 1.0  # the text wrote "0"
+    assert plan_sets_equal(read_plans(tmp_path / "g.plan", again), ps)
+
+
 # --------------------------------------------------------------------------
 # plan files
 
@@ -230,7 +326,7 @@ def test_infinite_threshold_serialized_as_string(bridge4):
 def test_plan_file_is_one_tree_plus_swaps(multi3):
     ps = precompute_all(multi3)
     doc = json.loads(plans_to_json(ps, multi3))
-    assert doc["version"] == 2
+    assert doc["version"] == 3
     assert doc["tree"] == [0, 2, 4, 6]
     assert [(r["edge"], r["swap"]) for r in doc["plans"]] == [(4, 3), (5, 0), (6, 3)]
     assert all(set(r) == {"edge", "swap", "d_s", "s_v", "cv"} for r in doc["plans"])
@@ -267,10 +363,41 @@ UNVERSIONED_THRESHOLD8_PLAN = """\
 """
 
 
+# The threshold8 plan file as format version 2 wrote it, with the fingerprint
+# hashed over the graph text.
+VERSION2_THRESHOLD8_PLAN = """\
+{
+  "fingerprint": {
+    "edges": 6,
+    "n": 6,
+    "sha256": "4cb82ab3fdb060e33dcc936eef90849090d367b9bbb5eb3e64fa2e99bb79e957"
+  },
+  "plans": [
+    {
+      "cv": 8.0,
+      "d_s": 40.0,
+      "edge": 5,
+      "s_v": 32.0,
+      "swap": 2
+    }
+  ],
+  "tree": [
+    0,
+    1,
+    3,
+    4,
+    5
+  ],
+  "version": 2
+}
+"""
+
+
 def test_old_and_unversioned_plan_files_refused(threshold8):
-    with pytest.raises(PlanFormatError, match="re-run `mstplan precompute`"):
-        plans_from_json(UNVERSIONED_THRESHOLD8_PLAN, threshold8)
-    for version in (1, 3, "2", None):
+    for text in (UNVERSIONED_THRESHOLD8_PLAN, VERSION2_THRESHOLD8_PLAN):
+        with pytest.raises(PlanFormatError, match="re-run `mstplan precompute`"):
+            plans_from_json(text, threshold8)
+    for version in (1, 2, 4, "3", None):
         doc = json.loads(plans_to_json(precompute_all(threshold8), threshold8))
         doc["version"] = version
         with pytest.raises(PlanFormatError, match="re-run `mstplan precompute`"):

@@ -1,5 +1,6 @@
 """Graph construction, connectivity checks and weight replacement."""
 
+import dataclasses
 import math
 import random
 
@@ -18,6 +19,7 @@ from mstplan import (
     VertexOutOfRangeError,
     build_graph,
     is_connected,
+    parse_graph,
     set_unstable_weight,
     unstable_values,
 )
@@ -134,6 +136,27 @@ def test_copy_isolates_weights(triangle):
     set_unstable_weight(other, 2, 99.0)
     assert triangle.weight(2) == 10.0
     assert other.weight(2) == 99.0
+
+
+def test_built_and_parsed_edges_are_frozen_edges():
+    text = "p wdg 3 4\ne 0 1 2\ne 0 1 -0\nu 1 2 0.5\nu 0 2 7\n"
+    specs = [(0, 1, 2, "stable"), (0, 1, -0.0, "stable"), (1, 2, 0.5, "unstable"), (0, 2, 7, "unstable")]
+    parsed, built = parse_graph(text), build_graph(3, specs)
+    assert dataclasses.is_dataclass(Edge) and Edge.__dataclass_params__.frozen
+    for e in parsed.edges + built.edges:
+        assert type(e) is Edge and not hasattr(e, "__dict__")
+        same = Edge(e.id, e.u, e.v, e.weight, e.kind)
+        assert e == same and hash(e) == hash(same) and repr(e) == repr(same)
+        for name in ("id", "u", "v", "weight", "kind"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(e, name, 1)
+    assert parsed.edges == built.edges
+    # A weight change replaces the edge, so a copy keeps the old one.
+    copy = parsed.copy()
+    old = parsed.edge(2)
+    set_unstable_weight(parsed, 2, 9.0)
+    assert old.weight == 0.5 and copy.edge(2) is old
+    assert parsed.edge(2) == Edge(2, 1, 2, 9.0, EdgeKind.UNSTABLE)
 
 
 def test_dsu_tracks_components():
