@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import InvalidConstraintsError, UnknownEdgeError
-from .graph import DisjointSetUnion, EdgeKind, WeaklyDynamicGraph
+from .graph import DisjointSetUnion, EdgeKind, WeaklyDynamicGraph, unstable_values
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,14 @@ def constrained_mst_prim(
 def tree_total_weight(
     t: SpanningTree, g: WeaklyDynamicGraph, exclude: int | None = None
 ) -> float:
-    """Cached stable sum plus the current weights of unstable members but ``exclude``.
+    """Total of ``t`` at ``g``'s current values, leaving out ``exclude``'s weight."""
+    return _total_at(t, unstable_values(g), exclude)
+
+
+def _total_at(
+    t: SpanningTree, values: Mapping[int, float], exclude: int | None = None
+) -> float:
+    """Cached stable sum plus ``values`` of the unstable members but ``exclude``.
 
     Added in ascending id order, never subtracting: that keeps integer weights
     exact, and the plan-file loader relies on bit-equal totals.
@@ -193,5 +200,5 @@ def tree_total_weight(
     total = t.stable_sum
     for eid in sorted(t.unstable_members):
         if eid != exclude:
-            total += g.edges[eid].weight
+            total += values[eid]
     return total

@@ -22,8 +22,8 @@ then every weight as float64, all little-endian whatever the machine, then
 one kind byte per edge (1 unstable, 0 stable). A weight of ``-0.0`` is
 hashed as ``0.0``, as the graph text writes both as ``0``. A load checks the
 tree once (``n - 1`` distinct ids, no cycle), each swap against the cut its
-edge leaves, and each record's totals at the graph's values; it does not
-check that the trees are minimum. Files of earlier formats, version 2 with
+edge leaves, and each record's numbers against the plan its trees give at
+the graph's values; it does not check that the trees are minimum. Files of earlier formats, version 2 with
 its text-hash fingerprint or without a version, are refused: re-run
 ``precompute``.
 
@@ -58,8 +58,8 @@ from .graph import (
     build_graph,
     unstable_values,
 )
-from .plans import EdgePlan, PlanSet
-from .constrained import SpanningTree, tree_total_weight
+from .plans import EdgePlan, PlanSet, _plan
+from .constrained import SpanningTree
 
 
 def format_value(value: float) -> str:
@@ -282,10 +282,11 @@ def plans_from_json(text: str, g: WeaklyDynamicGraph) -> PlanSet:
 
     Beyond the format version and the fingerprint guard, the shared tree is
     checked to span the graph, each swap to cross the cut its edge leaves,
-    and each record's threshold arithmetic and totals at the graph's current
-    values, so a tampered file is rejected even when its fingerprint was
-    patched up. Whether the trees are minimum is not checked: no
-    spanning-tree search is performed.
+    and each record's ``d_s``, ``s_v`` and ``cv`` against the plan its trees
+    give at the graph's current values, built as a rebuild builds it, so a
+    tampered file is rejected even when its fingerprint was patched up.
+    Whether the trees are minimum is not checked: no spanning-tree search is
+    performed.
     """
     try:
         doc = json.loads(text)
@@ -410,13 +411,6 @@ def _decode_plan(
     d_s = _decode_value(record, "d_s", edge_id)
     s_v = _decode_value(record, "s_v", edge_id)
     cv = _decode_value(record, "cv", edge_id)
-    if math.isinf(s_v):
-        raise PlanFormatError(f"edge {edge_id}: s_v must be finite")
-    if cv != d_s - s_v:
-        raise PlanFormatError(
-            f"edge {edge_id}: cv={cv!r} disagrees with d_s - s_v = {d_s - s_v!r}"
-        )
-
     if "swap" not in record:
         raise PlanFormatError(f"edge {edge_id}: missing swap")
     swap = record["swap"]
@@ -445,20 +439,13 @@ def _decode_plan(
         ids = _swapped(base.edge_ids, edge_id, swap)
         other = trees.get(ids) or trees.setdefault(ids, SpanningTree.from_edge_ids(g, ids))
     mst_v, mst_s = (base, other) if in_tree else (other, base)
-
-    if mst_s is not None and tree_total_weight(mst_s, g) != d_s:
-        raise PlanFormatError(f"edge {edge_id}: d_s disagrees with mst_s at current weights")
-    if tree_total_weight(mst_v, g, exclude=edge_id) != s_v:
-        raise PlanFormatError(f"edge {edge_id}: s_v disagrees with mst_v at current weights")
-    return EdgePlan(
-        edge_id=edge_id,
-        mst_s=mst_s,
-        d_s=d_s,
-        mst_v=mst_v,
-        s_v=s_v,
-        cv=cv,
-        frozen_others={k: v for k, v in snapshot.items() if k != edge_id},
-    )
+    plan = _plan(edge_id, mst_s, mst_v, snapshot)
+    if (plan.d_s, plan.s_v, plan.cv) != (d_s, s_v, cv):
+        raise PlanFormatError(
+            f"edge {edge_id}: record d_s, s_v, cv = {d_s!r}, {s_v!r}, {cv!r}, but its "
+            f"trees at current weights give {plan.d_s!r}, {plan.s_v!r}, {plan.cv!r}"
+        )
+    return plan
 
 
 def _decode_value(record: dict, key: str, edge_id: int) -> float:

@@ -11,18 +11,20 @@ comparison with no graph work at all.
 Both trees come from the graph's kernel (:class:`~mstplan.graph.Kernel`):
 at any values, a minimum spanning tree under the ``(weight, id)`` order is
 the kernel's fixed stable edges plus a Kruskal over at most 2k kernel edges
-between at most k + 1 super-vertices. A build sorts those edges once at the
-current values; ``mst_s`` is their Kruskal without the edge (no tree: the
-edge is a bridge) and ``mst_v`` their Kruskal with the edge taken first.
-One of the two is the graph's minimum spanning tree, and every plan of a
-build shares that tree object.
+between at most k + 1 super-vertices. A build is given a vector of unstable
+values and reads them from it, never from the graph, which it neither
+changes nor copies. It sorts the kernel edges once at those values;
+``mst_s`` is their Kruskal without the edge (no tree: the edge is a bridge)
+and ``mst_v`` their Kruskal with the edge taken first. One of the two is
+the minimum spanning tree at the vector, and every plan of a build shares
+that tree object.
 
 With several unstable edges, one plan is kept per edge, each computed with
 the *other* unstable edges frozen at their snapshot values. Under the
 one-change-at-a-time contract the plan for the changed edge is exact at the
-moment of the change; all plans are then rebuilt so the next change is exact
-too. They all freeze one snapshot, so a rebuild touches no edge outside the
-kernel.
+moment of the change; all plans are then rebuilt at the new vector so the
+next change is exact too. They all freeze one snapshot, so a rebuild touches
+no edge outside the kernel.
 
 Plans and plan sets are immutable once built. Selection is read-only and may
 run concurrently with a rebuild as long as the rebuilt plan set is published
@@ -34,9 +36,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
-from .constrained import SpanningTree, tree_total_weight
+from .constrained import SpanningTree, _total_at
 from .errors import (
     Error,
     FrozenIncompleteError,
@@ -68,9 +70,10 @@ class EdgePlan:
     ``mst_v``/``s_v``: best tree containing the edge and the fixed part of its
     total, so the full total is ``s_v + x``.
     ``cv``: the threshold ``d_s - s_v``.
-    ``frozen_others``: the values every other unstable edge was pinned to
-    while this plan was computed; staleness is detectable by comparing them
-    with the graph's current values.
+    ``frozen_others``: the vector the plan was built at without the edge's
+    own value, in ascending id order. The plan is exact while the graph's
+    other unstable edges hold these values; a rebuild at a vector that
+    matches them keeps the plan as it is.
     """
 
     edge_id: int
@@ -115,42 +118,37 @@ _STABLE = TreeKind.STABLE
 _new_tuple = tuple.__new__
 
 
-def _frozen_view(
-    g: WeaklyDynamicGraph, edge_id: int, frozen: Mapping[int, float]
-) -> WeaklyDynamicGraph:
-    """Graph with the other unstable edges pinned at their frozen values."""
-    expected = set(g.unstable_ids) - {edge_id}
-    if set(frozen) != expected:
-        raise FrozenIncompleteError(
-            f"frozen values must cover exactly edges {sorted(expected)}, "
-            f"got {sorted(frozen)}"
-        )
-    if not frozen:
-        return g
-    view = g.copy()
-    for eid, value in frozen.items():
-        set_unstable_weight(view, eid, value)
-    return view
+def _plan(
+    eid: int, mst_s: SpanningTree | None, mst_v: SpanningTree, values: Mapping[int, float]
+) -> EdgePlan:
+    """The plan of ``eid`` with trees ``mst_s`` and ``mst_v``, totalled at ``values``."""
+    d_s = math.inf if mst_s is None else _total_at(mst_s, values)
+    s_v = _total_at(mst_v, values, exclude=eid)
+    others = {k: v for k, v in values.items() if k != eid}
+    return EdgePlan(eid, mst_s, d_s, mst_v, s_v, d_s - s_v, others)
 
 
 def _build_plans(
-    g: WeaklyDynamicGraph, edge_ids: Iterable[int], previous: Mapping[int, EdgePlan]
+    g: WeaklyDynamicGraph,
+    values: Mapping[int, float],
+    edge_ids: Sequence[int],
+    previous: Mapping[int, EdgePlan],
 ) -> dict[int, EdgePlan]:
-    """Plans for ``edge_ids`` with every other unstable edge at its current value.
+    """Plans for ``edge_ids`` at ``values``, a float per unstable id in ascending order.
 
-    A plan is a function of the values it froze, so a ``previous`` plan that
-    froze the same ones is kept as it is; a tree whose edge set comes up
-    again is kept too, as its cached stable sum depends on no value.
-    ``previous`` must come from this graph's kernel.
+    ``g``'s own unstable weights are neither read nor changed. A plan is a
+    function of the values it froze, so a ``previous`` plan that froze the
+    same ones is kept as it is; a tree whose edge set comes up again is kept
+    too, as its cached stable sum depends on no value. ``previous`` must
+    come from this graph's kernel.
     """
-    values = unstable_values(g)
-    frozen = {eid: {k: v for k, v in values.items() if k != eid} for eid in edge_ids}
     kept = {
         eid: previous[eid]
-        for eid, others in frozen.items()
-        if eid in previous and previous[eid].frozen_others == others
+        for eid in edge_ids
+        if eid in previous
+        and previous[eid].frozen_others == {k: v for k, v in values.items() if k != eid}
     }
-    if len(kept) == len(frozen):
+    if len(kept) == len(edge_ids):
         return kept
     kernel = g.kernel()
     # Every tree is ``kernel.forced`` plus kernel edges; key trees by the latter.
@@ -167,10 +165,11 @@ def _build_plans(
             known[key] = SpanningTree.from_edge_ids(g, kernel.forced | key)
         return known[key]
 
-    edges = g.edges
-    order = sorted(kernel.ends, key=lambda eid: (edges[eid].weight, eid))
+    weight = {eid: g.edges[eid].weight for eid in kernel.stable}
+    weight.update(values)
+    order = sorted(kernel.ends, key=lambda eid: (weight[eid], eid))
     plans = {}
-    for eid, others in frozen.items():
+    for eid in edge_ids:
         if eid in kept:
             plans[eid] = kept[eid]
             continue
@@ -178,17 +177,7 @@ def _build_plans(
         avoiding = kernel.spanning(rest)
         mst_s = None if avoiding is None else tree_of(avoiding)
         mst_v = tree_of(kernel.spanning([eid, *rest]))
-        d_s = math.inf if mst_s is None else tree_total_weight(mst_s, g)
-        s_v = tree_total_weight(mst_v, g, exclude=eid)
-        plans[eid] = EdgePlan(
-            edge_id=eid,
-            mst_s=mst_s,
-            d_s=d_s,
-            mst_v=mst_v,
-            s_v=s_v,
-            cv=d_s - s_v,
-            frozen_others=others,
-        )
+        plans[eid] = _plan(eid, mst_s, mst_v, values)
     return plans
 
 
@@ -199,13 +188,23 @@ def precompute_plan(
 
     ``frozen`` must map every *other* unstable edge id to the value it is
     pinned at for this computation (empty when the edge is the only unstable
-    one).
+    one). The plan is built at those values plus the edge's current one;
+    the graph is neither changed nor copied.
     """
     e = g.edge(edge_id)
     if e.kind is not EdgeKind.UNSTABLE:
         raise NotUnstableError(f"edge {edge_id} is stable; plans cover unstable edges")
-    view = _frozen_view(g, edge_id, frozen)
-    return _build_plans(view, [edge_id], {})[edge_id]
+    expected = set(g.unstable_ids) - {edge_id}
+    if set(frozen) != expected:
+        raise FrozenIncompleteError(
+            f"frozen values must cover exactly edges {sorted(expected)}, "
+            f"got {sorted(frozen)}"
+        )
+    for eid, value in frozen.items():
+        if not math.isfinite(value):
+            raise NonFiniteWeightError(f"frozen value for edge {eid} is not finite: {value!r}")
+    values = {eid: float(frozen.get(eid, e.weight)) for eid in g.unstable_ids}
+    return _build_plans(g, values, [edge_id], {})[edge_id]
 
 
 def select_tree(plan: EdgePlan, x: float) -> Selection:
@@ -228,8 +227,8 @@ def select_tree(plan: EdgePlan, x: float) -> Selection:
 
 def precompute_all(g: WeaklyDynamicGraph) -> PlanSet:
     """One plan per unstable edge, each tree one Kruskal over the graph's kernel."""
-    plans = _build_plans(g, g.unstable_ids, {})
-    return PlanSet(plans, unstable_values(g), g.kernel())
+    values = unstable_values(g)
+    return PlanSet(_build_plans(g, values, g.unstable_ids, {}), values, g.kernel())
 
 
 def apply_change(
@@ -240,20 +239,21 @@ def apply_change(
     The immediate answer comes from the existing plan for ``edge_id``, which
     is exact because every other unstable edge still holds its snapshot value;
     a plan set built at other values than the graph's, or on a graph other
-    than ``g`` and its copies, is refused. The graph is then mutated and the
-    plans rebuilt from the graph's kernel, keeping the plans and trees that
-    did not move, so the next change is answered just as fast. Misuse, such
-    as a non-finite ``new_x``, is refused before any mutation, and a rebuild
-    that raises puts the old value back.
+    than ``g`` and its copies, is refused. The plans are then rebuilt from
+    the graph's kernel at the new values, keeping the plans and trees that
+    did not move, so the next change is answered just as fast. Only then is
+    the new value set in the graph, its one change: misuse, such as a
+    non-finite ``new_x``, and a rebuild that raises leave the graph as it
+    was, with nothing to restore.
     """
-    e = g.edge(edge_id)
-    if e.kind is not EdgeKind.UNSTABLE:
+    if g.edge(edge_id).kind is not EdgeKind.UNSTABLE:
         raise NotUnstableError(f"edge {edge_id} is stable; it cannot change")
     try:
         plan = ps.plans[edge_id]
     except KeyError:
         raise Error(f"plan set has no plan for edge {edge_id}") from None
-    if dict(ps.snapshot) != unstable_values(g):
+    current = unstable_values(g)
+    if dict(ps.snapshot) != current:
         raise StalePlanSetError(
             "plan set was built at other unstable values than the graph holds; "
             "rebuild it with precompute_all"
@@ -264,11 +264,8 @@ def apply_change(
         )
     immediate = select_tree(plan, new_x)
     previous = ps.plans if ps._kernel is not None else {}
+    values = {**current, edge_id: float(new_x)}
+    plans = _build_plans(g, values, g.unstable_ids, previous)
     set_unstable_weight(g, edge_id, new_x)
-    try:
-        plans = _build_plans(g, g.unstable_ids, previous)
-    except BaseException:
-        set_unstable_weight(g, edge_id, e.weight)
-        raise
-    return immediate, PlanSet(plans, unstable_values(g), g.kernel())
+    return immediate, PlanSet(plans, values, g.kernel())
 

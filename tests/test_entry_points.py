@@ -1,4 +1,5 @@
-"""Code outside the package that uses it: the demos run, the benchmark imports."""
+"""Code outside the package that uses it: the demos run, the benchmark imports
+and its self-test passes."""
 
 import ast
 import importlib
@@ -51,6 +52,13 @@ def test_cold_start_query_in_fresh_processes(tmp_path, capsys):
             assert queried.returncode == 0, queried.stderr
             assert main(argv) == 0
             assert queried.stdout == capsys.readouterr().out
+
+
+def test_benchmark_selftest_passes():
+    # Among its checks, a stored plan with a shifted cv must be refused on load.
+    proc = run_python(str(ROOT / "bench" / "selftest.py"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == '{"selftest": "pass"}'
 
 
 def test_every_name_the_benchmark_imports_resolves():

@@ -14,6 +14,7 @@ from helpers import (
     reference_plans,
 )
 
+import mstplan.plans as plans_module
 from mstplan import (
     Constraints,
     EdgePlan,
@@ -27,6 +28,7 @@ from mstplan import (
     StalePlanSetError,
     TreeKind,
     UnknownEdgeError,
+    WeaklyDynamicGraph,
     apply_change,
     brute_critical_value,
     build_graph,
@@ -303,6 +305,50 @@ def test_failed_rebuild_leaves_the_graph_as_it_was(multi3, monkeypatch):
     monkeypatch.undo()
     _, rebuilt = apply_change(ps, multi3, 4, 0.0)  # the plans are not stale
     assert rebuilt.snapshot[4] == 0.0
+
+
+def test_planning_leaves_the_graph_alone(multi3, monkeypatch):
+    # A build reads the values it is given: it neither copies the graph nor
+    # sets a weight in it, not even to plan at other frozen values.
+    def refuse(*args, **kwargs):
+        raise AssertionError("planning copied the graph or set a weight in it")
+
+    monkeypatch.setattr(WeaklyDynamicGraph, "copy", refuse)
+    for name, module in list(sys.modules.items()):
+        if name == "mstplan" or name.startswith("mstplan."):
+            if hasattr(module, "set_unstable_weight"):
+                monkeypatch.setattr(module, "set_unstable_weight", refuse)
+    before = list(multi3.edges)
+    ps = precompute_all(multi3)
+    frozen = {4: 1.0, 6: 8}
+    plan = precompute_plan(multi3, 5, frozen)
+    assert all(a is b for a, b in zip(multi3.edges, before, strict=True))
+    assert ps.snapshot == unstable_values(multi3)
+
+    monkeypatch.undo()
+    view = multi3.copy()
+    for eid, value in frozen.items():
+        set_unstable_weight(view, eid, value)
+    assert plan == reference_plans(view).plans[5]
+    # in unstable-id order, and as floats: the 8 is stored as 8.0
+    assert [(k, repr(v)) for k, v in plan.frozen_others.items()] == [(4, "1.0"), (6, "8.0")]
+
+
+def test_apply_change_builds_first_and_sets_the_value_last(multi3, monkeypatch):
+    ps = precompute_all(multi3)
+    build = plans_module._build_plans
+    seen = []
+
+    def spy(g, values, *args):
+        seen.append((g.weight(4), values[4]))
+        return build(g, values, *args)
+
+    monkeypatch.setattr("mstplan.plans._build_plans", spy)
+    _, rebuilt = apply_change(ps, multi3, 4, 0.5)
+    assert seen == [(2.0, 0.5)]  # the build ran at the new value, graph unchanged
+    assert multi3.weight(4) == 0.5
+    assert rebuilt.snapshot == unstable_values(multi3)
+    assert rebuilt.plans == reference_plans(multi3).plans
 
 
 def test_rebuild_runs_no_constrained_search(monkeypatch, tmp_path):
