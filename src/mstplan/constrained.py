@@ -19,11 +19,12 @@ the graph and safe to call concurrently on a shared snapshot.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import fsum
 from typing import Iterable, Mapping, Union
 
 from .errors import InvalidConstraintsError, UnknownEdgeError
-from .graph import DisjointSetUnion, EdgeKind, WeaklyDynamicGraph, unstable_values
+from .graph import DisjointSetUnion, WeaklyDynamicGraph, _exact_sum, unstable_values
 
 
 @dataclass(frozen=True)
@@ -51,14 +52,21 @@ class Constraints:
 class SpanningTree:
     """An edge-id set forming a spanning tree, with its stable weight cached.
 
-    ``stable_sum`` is accumulated over stable member edges in ascending id
-    order, so recomputing it reproduces the same float bit for bit.
+    ``stable_sum`` is the correctly rounded sum of the stable member
+    weights (``math.fsum``), so it does not depend on the order they are
+    added in. The tree keeps their exact sum as a short tuple of floats,
+    from which every total of the tree is one ``fsum``.
     ``unstable_members`` are the member edges whose weights may still move.
     """
 
     edge_ids: frozenset[int]
-    stable_sum: float
+    stable_sum: float = field(init=False)
     unstable_members: frozenset[int]
+    # Floats whose exact sum is the exact sum of the stable member weights.
+    _expansion: tuple[float, ...] = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "stable_sum", fsum(self._expansion))
 
     @classmethod
     def from_edge_ids(
@@ -69,16 +77,8 @@ class SpanningTree:
             g.edge(min(ids))
             g.edge(max(ids))
         edges = g.edges
-        unstable_kind = EdgeKind.UNSTABLE  # one enum lookup, not one per edge
-        stable_sum = 0.0
-        unstable = []
-        for eid in sorted(ids):
-            e = edges[eid]
-            if e.kind is unstable_kind:
-                unstable.append(eid)
-            else:
-                stable_sum += e.weight
-        return cls(ids, stable_sum, frozenset(unstable))
+        unstable = ids.intersection(g.unstable_ids)
+        return cls(ids, unstable, _exact_sum([edges[eid].weight for eid in ids - unstable]))
 
 
 MANDATORY_CYCLE = "mandatory-cycle"
@@ -185,20 +185,21 @@ def constrained_mst_prim(
 def tree_total_weight(
     t: SpanningTree, g: WeaklyDynamicGraph, exclude: int | None = None
 ) -> float:
-    """Total of ``t`` at ``g``'s current values, leaving out ``exclude``'s weight."""
+    """Total of ``t`` at ``g``'s current values, leaving out ``exclude``'s weight.
+
+    The total is the correctly rounded sum of the member weights, as
+    :func:`_total_at` gives it.
+    """
     return _total_at(t, unstable_values(g), exclude)
 
 
 def _total_at(
     t: SpanningTree, values: Mapping[int, float], exclude: int | None = None
 ) -> float:
-    """Cached stable sum plus ``values`` of the unstable members but ``exclude``.
+    """Stable sum plus ``values`` of the unstable members but ``exclude``.
 
-    Added in ascending id order, never subtracting: that keeps integer weights
-    exact, and the plan-file loader relies on bit-equal totals.
+    One ``fsum`` of the tree's exact stable sum and those values: the
+    correctly rounded total, the same whatever the order of the members.
     """
-    total = t.stable_sum
-    for eid in sorted(t.unstable_members):
-        if eid != exclude:
-            total += values[eid]
-    return total
+    unstable = [values[eid] for eid in t.unstable_members if eid != exclude]
+    return fsum((*t._expansion, *unstable))

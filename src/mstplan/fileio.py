@@ -23,9 +23,15 @@ one kind byte per edge (1 unstable, 0 stable). A weight of ``-0.0`` is
 hashed as ``0.0``, as the graph text writes both as ``0``. A load checks the
 tree once (``n - 1`` distinct ids, no cycle), each swap against the cut its
 edge leaves, and each record's numbers against the plan its trees give at
-the graph's values; it does not check that the trees are minimum. Files of earlier formats, version 2 with
-its text-hash fingerprint or without a version, are refused: re-run
-``precompute``.
+the graph's values; it does not check that the trees are minimum. The
+stored ``d_s`` and ``s_v`` are correctly rounded sums of their trees'
+weights (``math.fsum``), so that check does not depend on the order the
+edges are added in; the loader sums the shared tree once and each swap tree
+from it, plus and minus one weight. Files of earlier formats, version 2
+with its text-hash fingerprint or without a version, are refused: re-run
+``precompute``. So is a file with non-integer weights written by an
+earlier version that added totals edge by edge, when a total misses by an
+ulp.
 
 Event streams are lines ``<seq> <edge_id> <new_x>`` with strictly
 increasing sequence numbers, one weight change per line.
@@ -277,6 +283,22 @@ def _swapped(tree: frozenset[int], edge_id: int, swap: int) -> frozenset[int]:
     return tree - {swap} | {edge_id}
 
 
+def _traded(
+    base: SpanningTree, ids: frozenset[int], edge_id: int, swap: int, g: WeaklyDynamicGraph
+) -> SpanningTree:
+    """The tree of ``ids``: ``base`` with the unstable ``edge_id`` and ``swap`` traded.
+
+    Only ``swap`` can bring a stable weight in or take one out, so the exact
+    stable sum is ``base``'s plus or minus that weight: no pass over the tree.
+    """
+    e = g.edges[swap]
+    if e.kind is EdgeKind.UNSTABLE:
+        moved = ()
+    else:
+        moved = (e.weight,) if edge_id in base.edge_ids else (-e.weight,)
+    return SpanningTree(ids, ids.intersection(g.unstable_ids), base._expansion + moved)
+
+
 def plans_from_json(text: str, g: WeaklyDynamicGraph) -> PlanSet:
     """Load a plan set, refusing files computed from a different graph.
 
@@ -437,13 +459,14 @@ def _decode_plan(
                 f"edge {edge_id}: swap {swap} does not cross the cut, so it closes a cycle"
             )
         ids = _swapped(base.edge_ids, edge_id, swap)
-        other = trees.get(ids) or trees.setdefault(ids, SpanningTree.from_edge_ids(g, ids))
+        other = trees.get(ids) or trees.setdefault(ids, _traded(base, ids, edge_id, swap, g))
     mst_v, mst_s = (base, other) if in_tree else (other, base)
     plan = _plan(edge_id, mst_s, mst_v, snapshot)
     if (plan.d_s, plan.s_v, plan.cv) != (d_s, s_v, cv):
         raise PlanFormatError(
             f"edge {edge_id}: record d_s, s_v, cv = {d_s!r}, {s_v!r}, {cv!r}, but its "
-            f"trees at current weights give {plan.d_s!r}, {plan.s_v!r}, {plan.cv!r}"
+            f"trees at current weights give {plan.d_s!r}, {plan.s_v!r}, {plan.cv!r}; "
+            f"re-run `mstplan precompute`"
         )
     return plan
 

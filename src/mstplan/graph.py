@@ -122,6 +122,22 @@ def _kruskal(order: Iterable[int], ends, parent: list[int], need: int) -> list[i
     return taken
 
 
+def _exact_sum(weights: list[float]) -> tuple[float, ...]:
+    """Floats whose exact sum is the exact sum of ``weights``, largest first.
+
+    Each is the correctly rounded sum of what the ones before it leave
+    over, so ``fsum`` of them is ``fsum(weights)``, and ``fsum`` of them
+    plus other floats is the correctly rounded sum of all. There is one
+    when that sum is exact, as for integer weights, and seldom more than two.
+    """
+    rest = list(weights)
+    parts = []
+    while (part := math.fsum(rest)) != 0.0:
+        parts.append(part)
+        rest.append(-part)
+    return tuple(parts)
+
+
 @dataclass(frozen=True, slots=True)
 class Kernel:
     """What a graph's minimum spanning trees share at any unstable values.
@@ -140,6 +156,8 @@ class Kernel:
     supers: int
     stable: tuple[int, ...]
     ends: dict[int, tuple[int, int]]
+    # The exact sum of the ``forced`` weights, as ``_exact_sum`` gives it.
+    _forced_expansion: tuple[float, ...] = field(repr=False, compare=False)
 
     def spanning(self, order: Iterable[int]) -> list[int] | None:
         """Kernel edges of ``order`` Kruskal takes; None if they do not span the kernel."""
@@ -176,7 +194,8 @@ def _build_kernel(g: "WeaklyDynamicGraph") -> Kernel:
         eid: (super_of(ends[eid][0]), super_of(ends[eid][1]))
         for eid in (*kernel_stable, *g.unstable_ids)
     }
-    return Kernel(frozenset(forced), supers, tuple(kernel_stable), kernel_ends)
+    forced_sum = _exact_sum([weight[eid] for eid in forced])
+    return Kernel(frozenset(forced), supers, tuple(kernel_stable), kernel_ends, forced_sum)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import inf
+from math import fsum, inf
 
 from .constrained import (
     FORBIDDEN_DISCONNECTS,
@@ -66,9 +66,9 @@ def enumerate_spanning_trees(g: WeaklyDynamicGraph) -> TreeCatalog:
 
 
 def catalog_total(catalog: TreeCatalog, tree: frozenset[int]) -> float:
-    """Total weight of one catalog tree at the graph's current values."""
+    """Total weight of one catalog tree at the graph's current values, by ``fsum``."""
     edges = catalog.graph.edges
-    return sum(edges[eid].weight for eid in sorted(tree))
+    return fsum(edges[eid].weight for eid in tree)
 
 
 def brute_constrained_min(
@@ -122,7 +122,7 @@ def brute_critical_value(g: WeaklyDynamicGraph, edge_id: int) -> float:
     contain_min = inf
     for tree in catalog.trees:
         if edge_id in tree:
-            part = sum(edges[i].weight for i in sorted(tree) if i != edge_id)
+            part = fsum(edges[i].weight for i in tree if i != edge_id)
             contain_min = min(contain_min, part)
         else:
             avoid_min = min(avoid_min, catalog_total(catalog, tree))

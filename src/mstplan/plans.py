@@ -159,14 +159,21 @@ def _build_plans(
         if t is not None
     }
 
+    weight = {eid: g.edges[eid].weight for eid in kernel.stable}
+    weight.update(values)
+
     def tree_of(part: list[int]) -> SpanningTree:
         key = frozenset(part)
         if key not in known:
-            known[key] = SpanningTree.from_edge_ids(g, kernel.forced | key)
+            # The stable sum is the forced edges' exact sum plus the at most
+            # k stable kernel weights: no pass over the tree's n - 1 edges.
+            unstable = key.intersection(values)
+            stable = tuple(weight[eid] for eid in key - unstable)
+            known[key] = SpanningTree(
+                kernel.forced | key, unstable, kernel._forced_expansion + stable
+            )
         return known[key]
 
-    weight = {eid: g.edges[eid].weight for eid in kernel.stable}
-    weight.update(values)
     order = sorted(kernel.ends, key=lambda eid: (weight[eid], eid))
     plans = {}
     for eid in edge_ids:
@@ -211,7 +218,11 @@ def select_tree(plan: EdgePlan, x: float) -> Selection:
     """Pick the best precomputed tree for value ``x``. Constant time.
 
     Below the threshold the variable tree wins with total ``s_v + x``; at or
-    above it the stable tree wins with total ``d_s``.
+    above it the stable tree wins with total ``d_s``. ``d_s`` and ``s_v``
+    are correctly rounded sums of their trees' weights, whatever the order
+    of the edges; ``s_v + x`` is one more rounding. The decision is
+    ``x < cv``, so within a rounding of ``cv`` the tree chosen can report a
+    total that rounding above the other tree's.
     """
     if x - x != 0.0:  # 0.0 only for finite x; NaN and both infinities fail
         raise NonFiniteWeightError(f"query value must be finite, got {x!r}")

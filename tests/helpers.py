@@ -119,15 +119,15 @@ def assert_valid_tree(t, g, constraints=None):
         e = g.edge(eid)
         assert dsu.union(e.u, e.v), "tree contains a cycle"
     assert dsu.components == 1, "tree does not span"
-    stable = 0.0
+    stable = []
     unstable = set()
     for eid in sorted(t.edge_ids):
         e = g.edge(eid)
         if e.kind is EdgeKind.UNSTABLE:
             unstable.add(eid)
         else:
-            stable += e.weight
-    assert t.stable_sum == stable
+            stable.append(e.weight)
+    assert t.stable_sum == math.fsum(stable)
     assert t.unstable_members == unstable
     if constraints is not None:
         assert constraints.mandatory <= t.edge_ids

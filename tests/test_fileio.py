@@ -404,6 +404,84 @@ def test_old_and_unversioned_plan_files_refused(threshold8):
             plans_from_json(json.dumps(doc), threshold8)
 
 
+# Stable weights 0.1, 0.2 and 0.3 on a path, closed by an unstable edge. An
+# earlier summation added each tree's weights one by one in ascending id
+# order, so this file, written by it, states d_s and cv one ulp off the
+# correctly rounded sums.
+FOLDED_FLOAT_TEXT = """\
+p wdg 4 4
+e 0 1 0.1
+e 1 2 0.2
+e 2 3 0.3
+u 0 3 1
+"""
+FOLDED_FLOAT_PLAN = """\
+{
+  "fingerprint": {
+    "edges": 4,
+    "n": 4,
+    "sha256": "02bcc5671d82476ab346c905707fbb5f1be95d7172c77b362cd14024cb0aa101"
+  },
+  "plans": [
+    {
+      "cv": 0.30000000000000004,
+      "d_s": 0.6000000000000001,
+      "edge": 3,
+      "s_v": 0.30000000000000004,
+      "swap": 2
+    }
+  ],
+  "tree": [
+    0,
+    1,
+    2
+  ],
+  "version": 3
+}
+"""
+
+
+def test_float_plan_file_summed_by_a_fold_is_refused():
+    g = parse_graph(FOLDED_FLOAT_TEXT)
+    assert 0.1 + 0.2 + 0.3 == 0.6000000000000001 != math.fsum([0.1, 0.2, 0.3]) == 0.6
+    with pytest.raises(PlanFormatError, match=r"d_s.*; re-run `mstplan precompute`$"):
+        plans_from_json(FOLDED_FLOAT_PLAN, g)
+    rewritten = plans_from_json(plans_to_json(precompute_all(g), g), g)
+    assert (rewritten.plans[3].d_s, rewritten.plans[3].s_v) == (0.6, 0.30000000000000004)
+
+
+def test_plan_load_sums_only_the_shared_tree_over_its_edges(monkeypatch):
+    # Each swap tree is the shared tree's sum plus and minus one weight; the
+    # shared tree is the only one SpanningTree.from_edge_ids builds.
+    rng = random.Random(18)
+    weights = [rng.uniform(0.0, 100.0) for _ in range(39 + 120)]
+    pairs = random_pairs(rng, 40, 120)
+    unstable = set(rng.sample(range(len(pairs)), 6))
+    g = build_graph(
+        40,
+        [
+            (u, v, w, "unstable" if i in unstable else "stable")
+            for i, ((u, v), w) in enumerate(zip(pairs, weights))
+        ],
+    )
+    ps = precompute_all(g)
+    text = plans_to_json(ps, g)
+    built = []
+    fold = SpanningTree.from_edge_ids.__func__
+
+    def counted(cls, g, ids):
+        built.append(ids)
+        return fold(cls, g, ids)
+
+    monkeypatch.setattr(SpanningTree, "from_edge_ids", classmethod(counted))
+    loaded = plans_from_json(text, g)
+    assert len(built) == 1
+    assert plan_sets_equal(loaded, ps)
+    for plan in loaded.plans.values():
+        for tree in (plan.mst_v, plan.mst_s):
+            assert tree == fold(SpanningTree, g, tree.edge_ids)
+
+
 def test_plan_rejected_for_different_graph(tmp_path, threshold8):
     path = tmp_path / "out.plan"
     write_plans(precompute_all(threshold8), threshold8, path)

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     M3_TEXT,
     bridge_graph,
+    plan_sets_equal,
     random_graph,
     random_pairs,
     reference_plans,
@@ -24,6 +25,7 @@ from mstplan import (
     NonFiniteWeightError,
     NotUnstableError,
     PlanSet,
+    SpanningTree,
     StablePlanMissingError,
     StalePlanSetError,
     TreeKind,
@@ -38,6 +40,7 @@ from mstplan import (
     enumerate_spanning_trees,
     format_graph,
     parse_graph,
+    plans_from_json,
     plans_to_json,
     precompute_all,
     precompute_plan,
@@ -463,6 +466,95 @@ def test_change_chains_match_the_constrained_kruskal_build():
                 assert ps.plans[eid] == plan  # trees, sums, d_s, s_v, cv, frozen
             x = g.weight(rng.randrange(g.num_edges)) if rng.random() < 0.5 else draw()
             _, ps = apply_change(ps, g, rng.choice(unstable), x)
+
+
+def _fsum_at(tree, g, values, exclude=None):
+    """fsum of ``tree``'s member weights, unstable ones from ``values``."""
+    return math.fsum(values.get(f, g.edges[f].weight) for f in tree.edge_ids if f != exclude)
+
+
+def _fold_at(tree, g, values, exclude=None):
+    """The same weights added one by one in ascending id order."""
+    total = 0.0
+    for f in sorted(tree.edge_ids - {exclude}):
+        total += values.get(f, g.edges[f].weight)
+    return total
+
+
+def test_totals_are_correctly_rounded_sums_of_the_tree_weights():
+    # Uniform floats, where the order of a sum shows in its last bits, and
+    # tie-heavy integers, with parallel edges and a bridge, along
+    # apply_change chains. Each d_s and s_v is fsum of its tree's weights at
+    # the plan's vector, bit for bit: as built, after a plan-file round trip,
+    # and from SpanningTree.from_edge_ids on the same ids; on small graphs
+    # each cv is the oracle's too.
+    rng = random.Random(1997)
+    draws = (lambda: rng.uniform(-5.0, 5.0), lambda: float(rng.randint(1, 3)))
+    checked = unfolded = oracled = 0
+    for trial in range(300):
+        draw = draws[trial % 2]
+        n = rng.randint(2, 10)
+        pairs = random_pairs(rng, n, rng.randint(0, 2 * n))
+        pairs += rng.choices(pairs, k=rng.randint(1, 3))  # parallel edges
+        pairs.append((rng.randrange(n), n))  # a bridge to one more vertex
+        unstable = rng.sample(range(len(pairs)), rng.randint(1, min(5, len(pairs))))
+        g = build_graph(
+            n + 1,
+            [
+                (u, v, draw(), "unstable" if i in unstable else "stable")
+                for i, (u, v) in enumerate(pairs)
+            ],
+        )
+        ps = precompute_all(g)
+        if g.num_edges <= 12:  # the oracle sums each catalog tree by fsum too
+            for eid, plan in ps.plans.items():
+                assert plan.cv == brute_critical_value(g, eid)
+                oracled += 1
+        for _ in range(4):
+            loaded = plans_from_json(plans_to_json(ps, g), g)
+            for plan_set in (ps, loaded):
+                for eid, plan in plan_set.plans.items():
+                    values = plan.frozen_others
+                    sides = ((plan.mst_v, plan.s_v, eid), (plan.mst_s, plan.d_s, None))
+                    for tree, total, exclude in sides:
+                        if tree is None:
+                            assert total == math.inf
+                            continue
+                        assert total == _fsum_at(tree, g, values, exclude)
+                        again = SpanningTree.from_edge_ids(g, tree.edge_ids)
+                        assert again == tree  # ids, stable_sum, unstable_members
+                        assert tree_total_weight(again, g, exclude) == total
+                        unfolded += total != _fold_at(tree, g, values, exclude)
+                        checked += 1
+            x = g.weight(rng.randrange(g.num_edges)) if rng.random() < 0.5 else draw()
+            _, ps = apply_change(ps, g, rng.choice(unstable), x)
+    assert checked > 5000 and oracled > 100
+    assert unfolded > 0  # an ascending-id fold would have failed this test
+
+
+def test_rebuilds_build_no_tree_from_all_its_edge_ids(monkeypatch):
+    # After precompute_all, every new tree of a rebuild is the kernel's
+    # forced edges plus kernel edges; none is summed over its n - 1 edges.
+    rng = random.Random(53)
+    weights = [rng.uniform(0.0, 100.0) for _ in range(59 + 180)]
+    unstable = rng.sample(range(len(weights)), 5)
+    g = random_graph(rng, 60, 180, unstable=unstable, weights=weights)
+    ps = precompute_all(g)
+
+    def boom(cls, g, ids):
+        raise AssertionError("a rebuild built a tree by SpanningTree.from_edge_ids")
+
+    monkeypatch.setattr(SpanningTree, "from_edge_ids", classmethod(boom))
+    trees = set()
+    for _ in range(40):
+        eid = rng.choice(unstable)
+        cv = ps.plans[eid].cv
+        x = rng.choice([cv, cv - rng.uniform(0.0, 3.0), cv + rng.uniform(0.0, 3.0)])
+        _, ps = apply_change(ps, g, eid, x)
+        trees.update(p.mst_v.edge_ids for p in ps.plans.values())
+    monkeypatch.undo()
+    assert len(trees) > 10  # the chain built many new trees
+    assert plan_sets_equal(ps, reference_plans(g))
 
 
 def test_quarter_weight_what_ifs_match_a_fresh_kruskal():
