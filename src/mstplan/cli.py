@@ -143,7 +143,7 @@ def cmd_query(args) -> int:
     g = _load_graph(args.graph)
     ps = _load_plans(args.plan, g)
     if args.edge not in ps.plans:
-        g.edge(args.edge)  # raises for an unknown id
+        g.weight(args.edge)  # raises for an unknown id
         raise Error(f"edge {args.edge} is stable; only unstable edges have plans")
     selection = select_tree(ps.plans[args.edge], args.x)
     print(f"{selection.chosen.value} {format_value(selection.total_weight)}")

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from math import fsum
 from typing import Iterable, Mapping, Union
 
 from .errors import InvalidConstraintsError, UnknownEdgeError
-from .graph import DisjointSetUnion, WeaklyDynamicGraph, _exact_sum, unstable_values
+from .graph import DisjointSetUnion, WeaklyDynamicGraph, _exact_sum, _fsum, unstable_values
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,7 @@ class Constraints:
 
     def validate(self, g: WeaklyDynamicGraph) -> None:
         for eid in self.mandatory | self.forbidden:
-            g.edge(eid)
+            g._check_edge(eid)
         overlap = self.mandatory & self.forbidden
         if overlap:
             raise InvalidConstraintsError(
@@ -66,7 +65,7 @@ class SpanningTree:
     _expansion: tuple[float, ...] = field(repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "stable_sum", fsum(self._expansion))
+        object.__setattr__(self, "stable_sum", _fsum(self._expansion))
 
     @classmethod
     def from_edge_ids(
@@ -74,11 +73,11 @@ class SpanningTree:
     ) -> "SpanningTree":
         ids = frozenset(ids)
         if ids:  # the extremes raise UnknownEdgeError for any id out of range
-            g.edge(min(ids))
-            g.edge(max(ids))
-        edges = g.edges
+            g._check_edge(min(ids))
+            g._check_edge(max(ids))
+        weight = g._weight
         unstable = ids.intersection(g.unstable_ids)
-        return cls(ids, unstable, _exact_sum([edges[eid].weight for eid in ids - unstable]))
+        return cls(ids, unstable, _exact_sum([weight[eid] for eid in ids - unstable]))
 
 
 MANDATORY_CYCLE = "mandatory-cycle"
@@ -105,23 +104,21 @@ def constrained_mst_kruskal(
     edge id, so the result is deterministic.
     """
     constraints.validate(g)
+    u, v, weight = g._u, g._v, g._weight
     dsu = DisjointSetUnion(g.n)
     chosen: list[int] = []
     for eid in sorted(constraints.mandatory):
-        e = g.edges[eid]
-        if not dsu.union(e.u, e.v):
+        if not dsu.union(u[eid], v[eid]):
             return Infeasible(MANDATORY_CYCLE)
         chosen.append(eid)
 
     skip = constraints.mandatory | constraints.forbidden
-    order = sorted((e.weight, e.id) for e in g.edges if e.id not in skip)
+    order = sorted((weight[eid], eid) for eid in range(len(weight)) if eid not in skip)
     need = g.n - 1
-    edges = g.edges
     for _, eid in order:
         if len(chosen) == need:
             break
-        e = edges[eid]
-        if dsu.union(e.u, e.v):
+        if dsu.union(u[eid], v[eid]):
             chosen.append(eid)
 
     if len(chosen) != need:
@@ -140,34 +137,34 @@ def constrained_mst_prim(
     seed edge in the tree, then repeatedly adds the cheapest non-forbidden
     edge leaving the visited set.
     """
-    seed = g.edge(seed_edge)
+    g._check_edge(seed_edge)
     forbidden = frozenset(forbidden)
     for eid in forbidden:
-        g.edge(eid)
+        g._check_edge(eid)
     if seed_edge in forbidden:
         raise InvalidConstraintsError(f"seed edge {seed_edge} is forbidden")
 
+    u, v, weight = g._u, g._v, g._weight
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for e in g.edges:
-        if e.id in forbidden:
+    for eid in range(len(weight)):
+        if eid in forbidden:
             continue
-        adj[e.u].append((e.id, e.v))
-        adj[e.v].append((e.id, e.u))
+        adj[u[eid]].append((eid, v[eid]))
+        adj[v[eid]].append((eid, u[eid]))
 
     in_tree = bytearray(g.n)
-    in_tree[seed.u] = in_tree[seed.v] = 1
+    in_tree[u[seed_edge]] = in_tree[v[seed_edge]] = 1
     chosen = [seed_edge]
-    edges = g.edges
     heap: list[tuple[float, int, int]] = []
     push = heapq.heappush
 
     def add_frontier(vertex: int) -> None:
         for eid, other in adj[vertex]:
             if not in_tree[other]:
-                push(heap, (edges[eid].weight, eid, other))
+                push(heap, (weight[eid], eid, other))
 
-    add_frontier(seed.u)
-    add_frontier(seed.v)
+    add_frontier(u[seed_edge])
+    add_frontier(v[seed_edge])
     need = g.n - 1
     while heap and len(chosen) < need:
         _, eid, target = heapq.heappop(heap)
@@ -202,4 +199,4 @@ def _total_at(
     correctly rounded total, the same whatever the order of the members.
     """
     unstable = [values[eid] for eid in t.unstable_members if eid != exclude]
-    return fsum((*t._expansion, *unstable))
+    return _fsum((*t._expansion, *unstable))

@@ -16,7 +16,10 @@ class VertexOutOfRangeError(Error):
 
 
 class NonFiniteWeightError(Error):
-    """A weight is NaN or infinite where a finite value is required."""
+    """A weight is NaN or infinite where a finite value is required.
+
+    Also raised when a spanning tree's total weight overflows the float range.
+    """
 
 
 class DisconnectedGraphError(Error):

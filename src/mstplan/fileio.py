@@ -55,11 +55,9 @@ from .errors import (
     PlanFormatError,
 )
 from .graph import (
-    Edge,
     EdgeKind,
     WeaklyDynamicGraph,
     _graph_of,
-    _new_edge,
     _validate_edge,
     build_graph,
     unstable_values,
@@ -89,8 +87,10 @@ def parse_graph(text: str) -> WeaklyDynamicGraph:
     """
     n = 0
     m: int | None = None  # the declared edge count, once the header is read
-    edges: list[Edge] = []
-    stable, unstable = EdgeKind.STABLE, EdgeKind.UNSTABLE
+    us: list[int] = []
+    vs: list[int] = []
+    weights: list[float] = []
+    unstable: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
         if not fields or fields[0] == "c":
@@ -110,7 +110,11 @@ def parse_graph(text: str) -> WeaklyDynamicGraph:
             # w - w is 0.0 only for finite w.
             if not (0 <= u < n and 0 <= v < n and u != v and w - w == 0.0):
                 u, v, w = _edge_fields(fields, lineno, n)
-            edges.append(_new_edge(len(edges), u, v, w, unstable if tag == "u" else stable))
+            if tag == "u":
+                unstable.append(len(weights))
+            us.append(u)
+            vs.append(v)
+            weights.append(w)
         elif tag == "p":
             if m is not None:
                 raise GraphSyntaxError("duplicate header", line=lineno)
@@ -129,11 +133,11 @@ def parse_graph(text: str) -> WeaklyDynamicGraph:
 
     if m is None:
         raise GraphSyntaxError("missing 'p wdg <n> <num_edges>' header")
-    if len(edges) != m:
+    if len(weights) != m:
         raise GraphSyntaxError(
-            f"header declares {m} edge lines, file has {len(edges)}"
+            f"header declares {m} edge lines, file has {len(weights)}"
         )
-    return _graph_of(n, edges)
+    return _graph_of(n, us, vs, weights, unstable)
 
 
 def _edge_fields(fields: list[str], lineno: int, n: int) -> tuple[int, int, float]:
@@ -171,9 +175,9 @@ def _parse_real(token: str, lineno: int) -> float:
 def format_graph(g: WeaklyDynamicGraph) -> str:
     """Canonical graph-file text: header then edge lines in id order."""
     lines = [f"p wdg {g.n} {g.num_edges}"]
-    for e in g.edges:
-        tag = "u" if e.kind is EdgeKind.UNSTABLE else "e"
-        lines.append(f"{tag} {e.u} {e.v} {format_value(e.weight)}")
+    unstable = set(g.unstable_ids)
+    for eid, (u, v, w) in enumerate(zip(g._u, g._v, g._weight)):
+        lines.append(f"{'u' if eid in unstable else 'e'} {u} {v} {format_value(w)}")
     return "\n".join(lines) + "\n"
 
 
@@ -191,16 +195,15 @@ def graph_fingerprint(g: WeaklyDynamicGraph) -> dict:
     The module docstring gives the byte layout; its fixed byte order lets a
     plan file move between machines.
     """
-    edges = g.edges
-    m = len(edges)
+    m = g.num_edges
     kinds = bytearray(m)
     for eid in g.unstable_ids:
         kinds[eid] = 1
     fields = struct.pack(
         f"<{2 * m}q{m}d",
-        *[e.u for e in edges],
-        *[e.v for e in edges],
-        *[e.weight + 0.0 for e in edges],  # -0.0 + 0.0 is 0.0
+        *g._u,
+        *g._v,
+        *[w + 0.0 for w in g._weight],  # -0.0 + 0.0 is 0.0
     )
     digest = hashlib.sha256(fields + kinds).hexdigest()
     return {"n": g.n, "edges": m, "sha256": digest}
@@ -248,10 +251,15 @@ def _shared_tree(ps: PlanSet, g: WeaklyDynamicGraph) -> frozenset[int]:
     )
     if not common:
         raise PlanFormatError("the plans share no spanning tree")
+    if len(common) == 1:
+        return common.pop()
     # Two trees remain only when every plan holds both, and then they differ
-    # by one swap: the minimum spanning tree sorts first in (weight, id) order.
-    edges = g.edges
-    return min(common, key=lambda t: sorted((edges[eid].weight, eid) for eid in t))
+    # by one swap. The minimum spanning tree sorts first in (weight, id)
+    # order, so it is the one holding the lighter of the two edges traded.
+    first, second = common
+    weight = g._weight
+    lightest = min(first ^ second, key=lambda eid: (weight[eid], eid))
+    return first if lightest in first else second
 
 
 def _encode_plan(plan: EdgePlan, tree: frozenset[int], values: dict) -> dict:
@@ -291,11 +299,11 @@ def _traded(
     Only ``swap`` can bring a stable weight in or take one out, so the exact
     stable sum is ``base``'s plus or minus that weight: no pass over the tree.
     """
-    e = g.edges[swap]
-    if e.kind is EdgeKind.UNSTABLE:
+    if swap in g.unstable_ids:
         moved = ()
     else:
-        moved = (e.weight,) if edge_id in base.edge_ids else (-e.weight,)
+        w = g._weight[swap]
+        moved = (w,) if edge_id in base.edge_ids else (-w,)
     return SpanningTree(ids, ids.intersection(g.unstable_ids), base._expansion + moved)
 
 
@@ -364,12 +372,12 @@ class _Rooted(NamedTuple):
 
 def _rooted(g: WeaklyDynamicGraph, tree: list[int]) -> _Rooted | None:
     """Root ``tree``, edge ids of ``g``, at vertex 0; None if they are not a spanning tree."""
-    edges = g.edges
+    u, v = g._u, g._v
     adjacent: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for eid in tree:
-        e = edges[eid]
-        adjacent[e.u].append((e.v, eid))
-        adjacent[e.v].append((e.u, eid))
+        a, b = u[eid], v[eid]
+        adjacent[a].append((b, eid))
+        adjacent[b].append((a, eid))
     parent = [-1] * g.n
     up = [-1] * g.n
     depth = [0] * g.n
@@ -453,8 +461,7 @@ def _decode_plan(
             raise PlanFormatError(f"edge {edge_id}: swap {swap} must lie {where} the tree")
         # The swap must cross the cut the tree edge of the pair leaves.
         cut, path_of = (edge_id, swap) if in_tree else (swap, edge_id)
-        e = g.edges[path_of]
-        if cut not in _tree_path(rooted, e.u, e.v):
+        if cut not in _tree_path(rooted, g._u[path_of], g._v[path_of]):
             raise PlanFormatError(
                 f"edge {edge_id}: swap {swap} does not cross the cut, so it closes a cycle"
             )

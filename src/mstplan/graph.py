@@ -5,6 +5,12 @@ set of designated "unstable" edges whose current values may be replaced at any
 time via :func:`set_unstable_weight`. Parallel edges are allowed, self-loops
 are not, and the full edge set must connect all vertices.
 
+So a graph is stored as three flat columns indexed by edge id, both
+endpoints and the weight, plus the ids of its unstable edges. Parsing,
+fingerprinting, planning and plan loading read the columns; the
+:class:`Edge` objects of ``edges`` and ``edge(i)`` are a view built from
+them on first use and kept.
+
 Every minimum spanning tree a graph can have is one fixed set of stable edges
 plus a tree of its small :class:`Kernel`, built once and shared with copies.
 
@@ -17,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable
+from itertools import filterfalse, islice
+from typing import Iterable, Iterator
 
 from .errors import (
     DisconnectedGraphError,
@@ -55,8 +62,8 @@ def _new_edge(eid: int, u: int, v: int, weight: float, kind: EdgeKind) -> Edge:
     """``Edge(eid, u, v, weight, kind)``, fields unchecked, in about half the time.
 
     It fills the slots through their descriptors, skipping the frozen
-    ``__init__``'s ``object.__setattr__`` calls; a graph parse makes one
-    edge per line, so that cost is a large part of it.
+    ``__init__``'s ``object.__setattr__`` calls; a graph's ``Edge`` view
+    makes one per edge.
     """
     e = object.__new__(Edge)
     _set_id(e, eid)
@@ -98,16 +105,16 @@ class DisjointSetUnion:
         return True
 
 
-def _kruskal(order: Iterable[int], ends, parent: list[int], need: int) -> list[int]:
-    """Ids of ``order`` that join two sets of ``parent``, until ``need`` have.
+def _joining(order: Iterable[int], u, v, parent: list[int]) -> Iterator[int]:
+    """Ids of ``order`` whose edge joins two sets of ``parent``, merging them.
 
-    Edge ``eid`` joins ``ends[eid]``; ``parent`` is updated in place. With
-    ``need`` 0, ``parent`` must already be one set. The union-find is
-    inlined: this loop is most of a kernel build.
+    Edge ``eid`` joins ``u[eid]`` and ``v[eid]``; ``parent`` is updated in
+    place. The union-find is inlined: this loop is most of a kernel build
+    and of a graph's connectivity check.
     """
-    taken: list[int] = []
     for eid in order:
-        a, b = ends[eid]
+        a = u[eid]
+        b = v[eid]
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
@@ -116,10 +123,28 @@ def _kruskal(order: Iterable[int], ends, parent: list[int], need: int) -> list[i
             b = parent[b]
         if a != b:
             parent[a] = b
-            taken.append(eid)
-            if len(taken) == need:
-                break
-    return taken
+            yield eid
+
+
+def _kruskal(order: Iterable[int], u, v, parent: list[int], need: int) -> list[int]:
+    """Ids of ``order`` that join two sets of ``parent``, until ``need`` have."""
+    return list(islice(_joining(order, u, v, parent), need))
+
+
+def _spans(n: int, u, v, order: Iterable[int]) -> bool:
+    """True iff the edges of ``order`` connect all ``n`` vertices."""
+    need = n - 1
+    return sum(1 for _ in islice(_joining(order, u, v, list(range(n))), need)) == need
+
+
+def _fsum(values: Iterable[float]) -> float:
+    """``math.fsum(values)``, refusing a sum past the largest float."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise NonFiniteWeightError(
+            "a spanning tree's total weight overflows the float range"
+        ) from None
 
 
 def _exact_sum(weights: list[float]) -> tuple[float, ...]:
@@ -132,7 +157,7 @@ def _exact_sum(weights: list[float]) -> tuple[float, ...]:
     """
     rest = list(weights)
     parts = []
-    while (part := math.fsum(rest)) != 0.0:
+    while (part := _fsum(rest)) != 0.0:
         parts.append(part)
         rest.append(-part)
     return tuple(parts)
@@ -158,52 +183,62 @@ class Kernel:
     ends: dict[int, tuple[int, int]]
     # The exact sum of the ``forced`` weights, as ``_exact_sum`` gives it.
     _forced_expansion: tuple[float, ...] = field(repr=False, compare=False)
+    # ``ends`` as two columns, the way ``_kruskal`` reads them.
+    _u: dict[int, int] = field(init=False, repr=False, compare=False)
+    _v: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_u", {eid: a for eid, (a, _) in self.ends.items()})
+        object.__setattr__(self, "_v", {eid: b for eid, (_, b) in self.ends.items()})
 
     def spanning(self, order: Iterable[int]) -> list[int] | None:
         """Kernel edges of ``order`` Kruskal takes; None if they do not span the kernel."""
         need = self.supers - 1
-        tree = _kruskal(order, self.ends, list(range(self.supers)), need)
+        tree = _kruskal(order, self._u, self._v, list(range(self.supers)), need)
         return tree if len(tree) == need else None
 
 
 def _build_kernel(g: "WeaklyDynamicGraph") -> Kernel:
-    edges = g.edges
+    u, v, weight = g._u, g._v, g._weight
     n = g.n
-    ends = [(e.u, e.v) for e in edges]
-    weight = [e.weight for e in edges]
     unstable = set(g.unstable_ids)
-    stable = [eid for eid in range(len(edges)) if eid not in unstable]
+    stable = list(filterfalse(unstable.__contains__, range(len(weight))))
     # A stable sort of ascending ids keeps equal weights in id order.
     stable.sort(key=weight.__getitem__)
     parent = list(range(n))
-    joined = _kruskal(g.unstable_ids, ends, parent, n - 1)
-    forced = _kruskal(stable, ends, parent, n - 1 - len(joined))
+    joined = _kruskal(g.unstable_ids, u, v, parent, n - 1)
+    forced = _kruskal(stable, u, v, parent, n - 1 - len(joined))
     parent = list(range(n))
-    _kruskal(forced, ends, parent, len(forced))
+    _kruskal(forced, u, v, parent, len(forced))
     contracted = list(parent)  # a root per component of ``forced``
     supers = n - len(forced)
-    kernel_stable = _kruskal(stable, ends, parent, supers - 1)
+    kernel_stable = _kruskal(stable, u, v, parent, supers - 1)
     index: dict[int, int] = {}  # component root -> super-vertex
 
-    def super_of(v: int) -> int:
-        while contracted[v] != v:
-            v = contracted[v]
-        return index.setdefault(v, len(index))
+    def super_of(x: int) -> int:
+        while contracted[x] != x:
+            x = contracted[x]
+        return index.setdefault(x, len(index))
 
     kernel_ends = {
-        eid: (super_of(ends[eid][0]), super_of(ends[eid][1]))
+        eid: (super_of(u[eid]), super_of(v[eid]))
         for eid in (*kernel_stable, *g.unstable_ids)
     }
     forced_sum = _exact_sum([weight[eid] for eid in forced])
     return Kernel(frozenset(forced), supers, tuple(kernel_stable), kernel_ends, forced_sum)
 
 
-@dataclass
+@dataclass(init=False)
 class WeaklyDynamicGraph:
     """A weighted undirected multigraph whose unstable edges may change value.
 
-    ``edges`` is indexed by dense edge id (input order); ``unstable_ids``
-    enumerates the edges whose weights are replaceable.
+    The graph is stored as columns indexed by dense edge id (input order):
+    both endpoints and the current weight of each edge. ``unstable_ids``
+    enumerates the edges whose weights are replaceable. ``edges`` is a view
+    of :class:`Edge` objects built from the columns on first read and kept,
+    so repeated reads return the same objects; treat it as read-only, and
+    change a weight with :func:`set_unstable_weight`. A graph built from
+    ``edges`` takes its columns from them.
     """
 
     n: int
@@ -211,25 +246,71 @@ class WeaklyDynamicGraph:
     unstable_ids: tuple[int, ...]
     _kernel: Kernel | None = field(default=None, repr=False, compare=False)
 
+    def __init__(
+        self,
+        n: int,
+        edges: Iterable[Edge],
+        unstable_ids: tuple[int, ...],
+        _kernel: Kernel | None = None,
+    ):
+        edges = list(edges)
+        u = [e.u for e in edges]
+        v = [e.v for e in edges]
+        self._fill(n, u, v, [e.weight for e in edges], unstable_ids, _kernel, edges)
+
+    def _fill(self, n, u, v, weight, unstable_ids, kernel, edges) -> None:
+        self.n = n
+        self.unstable_ids = unstable_ids
+        self._kernel = kernel
+        # The columns. Only ``set_unstable_weight`` writes them, and only
+        # ``_weight``, so copies share ``_u`` and ``_v``.
+        self._u: list[int] = u
+        self._v: list[int] = v
+        self._weight: list[float] = weight
+        self._edges: list[Edge] | None = edges
+
+    @property
+    def edges(self) -> list[Edge]:
+        if self._edges is None:
+            unstable = set(self.unstable_ids)
+            stable_kind, unstable_kind = EdgeKind.STABLE, EdgeKind.UNSTABLE
+            self._edges = [
+                _new_edge(eid, a, b, w, unstable_kind if eid in unstable else stable_kind)
+                for eid, (a, b, w) in enumerate(zip(self._u, self._v, self._weight))
+            ]
+        return self._edges
+
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self._weight)
+
+    def _check_edge(self, edge_id: int) -> None:
+        if not 0 <= edge_id < len(self._weight):
+            raise UnknownEdgeError(f"no edge with id {edge_id}")
+
+    def _is_unstable(self, edge_id: int) -> bool:
+        """Whether ``edge_id`` is unstable; UnknownEdgeError if there is no such edge."""
+        self._check_edge(edge_id)
+        return edge_id in self.unstable_ids
 
     def edge(self, edge_id: int) -> Edge:
-        if not 0 <= edge_id < len(self.edges):
-            raise UnknownEdgeError(f"no edge with id {edge_id}")
+        self._check_edge(edge_id)
         return self.edges[edge_id]
 
     def weight(self, edge_id: int) -> float:
-        return self.edge(edge_id).weight
+        self._check_edge(edge_id)
+        return self._weight[edge_id]
 
     def copy(self) -> "WeaklyDynamicGraph":
         """Independent copy; mutating one graph's weights leaves the other alone.
 
         The copy shares the kernel, building it first if need be, so plans
-        built on either graph are accepted by the other.
+        built on either graph are accepted by the other. It shares the
+        ``Edge`` objects too, building them first if need be.
         """
-        return WeaklyDynamicGraph(self.n, list(self.edges), self.unstable_ids, self.kernel())
+        weight = list(self._weight)
+        edges = list(self.edges)
+        return _graph(self.n, self._u, self._v, weight, self.unstable_ids, self.kernel(), edges)
 
     def kernel(self) -> Kernel:
         """The graph's :class:`Kernel`; treat as read-only.
@@ -240,6 +321,13 @@ class WeaklyDynamicGraph:
         if self._kernel is None:
             self._kernel = _build_kernel(self)
         return self._kernel
+
+
+def _graph(n, u, v, weight, unstable_ids, kernel=None, edges=None) -> WeaklyDynamicGraph:
+    """The graph of these columns, unchecked; with no ``edges``, none are built."""
+    g = object.__new__(WeaklyDynamicGraph)
+    g._fill(n, u, v, weight, unstable_ids, kernel, edges)
+    return g
 
 
 def _coerce_kind(kind) -> EdgeKind:
@@ -264,23 +352,30 @@ def build_graph(
     """
     if n < 1:
         raise Error(f"vertex count must be >= 1, got {n}")
-    edges: list[Edge] = []
+    us: list[int] = []
+    vs: list[int] = []
+    weights: list[float] = []
+    unstable: list[int] = []
     for u, v, weight, kind in edge_specs:
         kind = _coerce_kind(kind)
         _validate_edge(n, u, v, weight)
-        edges.append(_new_edge(len(edges), u, v, float(weight), kind))
-    return _graph_of(n, edges)
+        if kind is EdgeKind.UNSTABLE:
+            unstable.append(len(weights))
+        us.append(u)
+        vs.append(v)
+        weights.append(float(weight))
+    return _graph_of(n, us, vs, weights, unstable)
 
 
-def _graph_of(n: int, edges: list[Edge]) -> WeaklyDynamicGraph:
-    """The graph of validated edges whose ids are their positions; it must be connected."""
-    unstable_kind = EdgeKind.UNSTABLE  # one enum lookup, not one per edge
-    g = WeaklyDynamicGraph(n, edges, tuple(e.id for e in edges if e.kind is unstable_kind))
-    if not is_connected(g, frozenset()):
+def _graph_of(
+    n: int, u: list[int], v: list[int], weight: list[float], unstable: list[int]
+) -> WeaklyDynamicGraph:
+    """The graph of validated edge columns; it must be connected."""
+    if not _spans(n, u, v, range(len(weight))):
         raise DisconnectedGraphError(
             f"graph on {n} vertices is not connected by its full edge set"
         )
-    return g
+    return _graph(n, u, v, weight, tuple(unstable))
 
 
 def _validate_edge(n: int, u: int, v: int, weight: float) -> None:
@@ -297,16 +392,9 @@ def _validate_edge(n: int, u: int, v: int, weight: float) -> None:
 def is_connected(g: WeaklyDynamicGraph, excluded: frozenset[int] | set[int]) -> bool:
     """True iff the graph minus ``excluded`` edge ids spans all vertices."""
     for eid in excluded:
-        g.edge(eid)  # raises UnknownEdgeError on bad ids
-    if g.n == 1:
-        return True
-    dsu = DisjointSetUnion(g.n)
-    for e in g.edges:
-        if e.id in excluded:
-            continue
-        if dsu.union(e.u, e.v) and dsu.components == 1:
-            return True
-    return dsu.components == 1
+        g._check_edge(eid)
+    kept = filterfalse(excluded.__contains__, range(g.num_edges))
+    return _spans(g.n, g._u, g._v, kept)
 
 
 def set_unstable_weight(
@@ -317,15 +405,18 @@ def set_unstable_weight(
     Only that edge's weight changes; ids, endpoints and every other weight are
     untouched. Returns the same graph for convenience.
     """
-    e = g.edge(edge_id)
-    if e.kind is not EdgeKind.UNSTABLE:
+    if not g._is_unstable(edge_id):
         raise NotUnstableError(f"edge {edge_id} is stable; its weight is immutable")
     if not math.isfinite(new_x):
         raise NonFiniteWeightError(f"new value for edge {edge_id} is not finite: {new_x!r}")
-    g.edges[edge_id] = replace(e, weight=float(new_x))
+    new_x = float(new_x)
+    g._weight[edge_id] = new_x
+    if g._edges is not None:
+        g._edges[edge_id] = replace(g._edges[edge_id], weight=new_x)
     return g
 
 
 def unstable_values(g: WeaklyDynamicGraph) -> dict[int, float]:
     """Current values of all unstable edges, keyed by edge id."""
-    return {eid: g.edges[eid].weight for eid in g.unstable_ids}
+    weight = g._weight
+    return {eid: weight[eid] for eid in g.unstable_ids}

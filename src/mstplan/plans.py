@@ -48,7 +48,6 @@ from .errors import (
     StalePlanSetError,
 )
 from .graph import (
-    EdgeKind,
     Kernel,
     WeaklyDynamicGraph,
     set_unstable_weight,
@@ -159,7 +158,7 @@ def _build_plans(
         if t is not None
     }
 
-    weight = {eid: g.edges[eid].weight for eid in kernel.stable}
+    weight = {eid: g._weight[eid] for eid in kernel.stable}
     weight.update(values)
 
     def tree_of(part: list[int]) -> SpanningTree:
@@ -198,8 +197,7 @@ def precompute_plan(
     one). The plan is built at those values plus the edge's current one;
     the graph is neither changed nor copied.
     """
-    e = g.edge(edge_id)
-    if e.kind is not EdgeKind.UNSTABLE:
+    if not g._is_unstable(edge_id):
         raise NotUnstableError(f"edge {edge_id} is stable; plans cover unstable edges")
     expected = set(g.unstable_ids) - {edge_id}
     if set(frozen) != expected:
@@ -210,7 +208,7 @@ def precompute_plan(
     for eid, value in frozen.items():
         if not math.isfinite(value):
             raise NonFiniteWeightError(f"frozen value for edge {eid} is not finite: {value!r}")
-    values = {eid: float(frozen.get(eid, e.weight)) for eid in g.unstable_ids}
+    values = {eid: float(frozen.get(eid, g._weight[eid])) for eid in g.unstable_ids}
     return _build_plans(g, values, [edge_id], {})[edge_id]
 
 
@@ -254,10 +252,11 @@ def apply_change(
     the graph's kernel at the new values, keeping the plans and trees that
     did not move, so the next change is answered just as fast. Only then is
     the new value set in the graph, its one change: misuse, such as a
-    non-finite ``new_x``, and a rebuild that raises leave the graph as it
-    was, with nothing to restore.
+    non-finite ``new_x``, and a rebuild that raises, such as one whose tree
+    total overflows (``NonFiniteWeightError``), leave the graph as it was,
+    with nothing to restore.
     """
-    if g.edge(edge_id).kind is not EdgeKind.UNSTABLE:
+    if not g._is_unstable(edge_id):
         raise NotUnstableError(f"edge {edge_id} is stable; it cannot change")
     try:
         plan = ps.plans[edge_id]

@@ -62,6 +62,15 @@ def test_precompute_unwritable_output(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+def test_precompute_refuses_tree_totals_past_the_float_range(tmp_path, capsys):
+    graph = write(tmp_path, "big.graph", "p wdg 3 3\ne 0 1 1e308\ne 1 2 1e308\nu 0 2 1.5e308\n")
+    plan = tmp_path / "big.plan"
+    assert main(["precompute", graph, "-o", str(plan)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mstplan: ") and "overflows" in err
+    assert not plan.exists()
+
+
 def test_query_both_sides_of_threshold(tmp_path, capsys):
     graph, plan = prepared(tmp_path, capsys, THRESHOLD8_TEXT)
     assert main(["query", plan, graph, "--edge", "5", "--x", "7"]) == 0

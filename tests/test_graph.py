@@ -1,6 +1,8 @@
 """Graph construction, connectivity checks and weight replacement."""
 
+import contextlib
 import dataclasses
+import io
 import math
 import random
 
@@ -12,17 +14,28 @@ from mstplan import (
     Edge,
     EdgeKind,
     Error,
+    GraphSyntaxError,
     NonFiniteWeightError,
     NotUnstableError,
     SelfLoopError,
     UnknownEdgeError,
     VertexOutOfRangeError,
+    WeaklyDynamicGraph,
+    apply_change,
     build_graph,
+    format_graph,
+    generate_graph,
+    graph_fingerprint,
     is_connected,
     parse_graph,
+    plans_from_json,
+    plans_to_json,
+    precompute_all,
+    select_tree,
     set_unstable_weight,
     unstable_values,
 )
+from mstplan.cli import main
 
 
 def test_single_stable_edge():
@@ -175,3 +188,139 @@ def test_dsu_tracks_components():
             merges += did
             assert dsu.find(a) == dsu.find(b)
         assert dsu.components == n - merges
+
+
+def _columns(g):
+    return list(zip(g._u, g._v, g._weight))
+
+
+def _edge_fields(g):
+    return [(e.u, e.v, e.weight) for e in g.edges]
+
+
+def _random_specs(rng):
+    """A connected multigraph with float, ``-0.0`` and tied weights."""
+    n = rng.randint(1, 8)
+    pool = [0.0, -0.0, 1.0, 2.0, 0.1, 0.2, 0.3, -1.5, 1e-300, 2.5e15]
+    pairs = [(rng.randrange(v), v) for v in range(1, n)]
+    for _ in range(rng.randint(0, 8) if n > 1 else 0):
+        u, v = rng.sample(range(n), 2)
+        pairs.append((u, v))
+        if rng.random() < 0.3:
+            pairs.append((v, u))  # a parallel edge
+    rng.shuffle(pairs)
+    specs = []
+    for u, v in pairs:
+        w = rng.choice(pool) if rng.random() < 0.6 else rng.uniform(-5, 5)
+        specs.append((u, v, w, rng.choice(["stable", "unstable"])))
+    return n, specs
+
+
+def _corrupt(rng, lines, n):
+    """One edge line made bad, with the error the parse must raise."""
+    lineno = rng.choice([i for i, line in enumerate(lines, 1) if line[:1] in ("e", "u")])
+    tag, u, v, w = lines[lineno - 1].split()
+    choice = rng.randrange(6)
+    if choice == 0:
+        bad = f"{tag} {u} x{v} {w}"
+        error, message = GraphSyntaxError, f"bad endpoint 'x{v}'"
+    elif choice == 1:
+        bad = f"{tag} {u} {v} {w}?"
+        error, message = GraphSyntaxError, f"bad weight '{w}?'"
+    elif choice == 2:
+        token = rng.choice(["inf", "-inf", "nan"])
+        bad = f"{tag} {u} {v} {token}"
+        error, message = GraphSyntaxError, f"weight must be finite, got '{token}'"
+    elif choice == 3:
+        bad = f"{tag} {u} {n} {w}"
+        error = VertexOutOfRangeError
+        message = f"edge ({u}, {n}) has an endpoint outside 0..{n - 1}"
+    elif choice == 4:
+        bad = f"{tag} {u} {u} {w}"
+        error, message = SelfLoopError, f"self-loop at vertex {u}"
+    else:
+        bad = f"{tag} {u} {v}"
+        error, message = GraphSyntaxError, f"edge line needs '{tag} <u> <v> <weight>'"
+    lines[lineno - 1] = bad
+    return lineno, error, f"line {lineno}: {message}"
+
+
+def test_every_way_to_make_a_graph_stores_the_same_graph():
+    rng = random.Random(20261018)
+    for _ in range(320):
+        n, specs = _random_specs(rng)
+        built = build_graph(n, specs)
+        text = format_graph(built)
+        parsed = parse_graph(text)
+        assert built._edges is None and parsed._edges is None  # no Edge built yet
+        unstable = tuple(i for i, spec in enumerate(specs) if spec[3] == "unstable")
+        kinds = {"stable": EdgeKind.STABLE, "unstable": EdgeKind.UNSTABLE}
+        direct = WeaklyDynamicGraph(
+            n, [Edge(i, u, v, float(w), kinds[k]) for i, (u, v, w, k) in enumerate(specs)], unstable
+        )
+        for g in (built, parsed, direct, dataclasses.replace(parsed)):
+            assert g.n == n and g.unstable_ids == unstable
+            assert unstable_values(g) == unstable_values(built)
+            assert graph_fingerprint(g) == graph_fingerprint(built)
+            assert _columns(g) == [(u, v, w) for u, v, w, _ in specs]
+            assert g.edges == direct.edges and g.edges is g.edges
+            assert format_graph(g) == text
+
+        # A weight change writes the column and replaces the one Edge built.
+        viewed, lazy = parse_graph(text), parse_graph(text)
+        before = list(viewed.edges)
+        copy = viewed.copy()
+        changed = rng.sample(unstable, min(3, len(unstable)))
+        for eid in changed:
+            x = rng.choice([-0.0, 0.1, 7.0, rng.uniform(-9, 9)])
+            set_unstable_weight(viewed, eid, x)
+            set_unstable_weight(lazy, eid, x)
+            assert viewed.weight(eid) == lazy.weight(eid) == x
+        assert lazy._edges is None
+        assert _edge_fields(viewed) == _columns(viewed) == _columns(lazy) == _edge_fields(lazy)
+        for eid, (old, new) in enumerate(zip(before, viewed.edges)):
+            assert (old is new) == (eid not in changed)
+        # The copy kept the old weights and shares the old Edge objects.
+        assert copy.edges == before and all(a is b for a, b in zip(copy.edges, before))
+        assert _columns(copy) == _edge_fields(copy)
+        assert graph_fingerprint(copy) == graph_fingerprint(parse_graph(text))
+
+        if n > 1:
+            lines = text.splitlines()
+            for i in sorted(rng.sample(range(1, len(lines) + 1), 2), reverse=True):
+                lines.insert(i, rng.choice(["", "c a comment", "   "]))
+            lineno, error, message = _corrupt(rng, lines, n)
+            with pytest.raises(error) as info:
+                parse_graph("\n".join(lines) + "\n")
+            assert type(info.value) is error and str(info.value) == message
+            if error is GraphSyntaxError:
+                assert info.value.line == lineno
+
+
+def test_no_edge_object_is_built_to_load_plan_or_answer(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an Edge object was built")
+
+    monkeypatch.setattr("mstplan.graph._new_edge", refuse)
+    monkeypatch.setattr(Edge, "__init__", refuse)
+    text = format_graph(generate_graph(1200, 3600, 8, seed=7))
+    g = parse_graph(text)
+    fingerprint = graph_fingerprint(g)
+    ps = precompute_all(g)
+    plan_text = plans_to_json(ps, g)
+    assert plans_from_json(plan_text, g).plans == ps.plans
+    rng = random.Random(3)
+    for _ in range(30):
+        eid = rng.choice(g.unstable_ids)
+        x = ps.plans[eid].cv + rng.randint(-50, 49)
+        select_tree(ps.plans[eid], x)
+        _, ps = apply_change(ps, g, eid, x)
+    assert graph_fingerprint(g) != fingerprint and g._edges is None
+
+    graph, plan = tmp_path / "g.graph", tmp_path / "g.plan"
+    graph.write_text(text, encoding="utf-8")
+    plan.write_text(plan_text, encoding="utf-8")
+    eid = g.unstable_ids[0]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["query", str(plan), str(graph), "--edge", str(eid), "--x", "5"]) == 0
+    assert out.getvalue().startswith(("variable ", "stable "))

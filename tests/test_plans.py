@@ -310,6 +310,26 @@ def test_failed_rebuild_leaves_the_graph_as_it_was(multi3, monkeypatch):
     assert rebuilt.snapshot[4] == 0.0
 
 
+def test_tree_totals_past_the_float_range_are_refused():
+    # Each weight is finite, but a tree's total is not: an mstplan error,
+    # not the OverflowError of math.fsum.
+    g = build_graph(
+        3, [(0, 1, 1e308, "stable"), (1, 2, 1e308, "stable"), (0, 2, 1.5e308, "unstable")]
+    )
+    with pytest.raises(NonFiniteWeightError, match="overflows"):
+        precompute_all(g)
+
+    g = build_graph(3, [(0, 1, 1, "unstable"), (1, 2, 1, "unstable"), (0, 2, 1e308, "stable")])
+    ps = precompute_all(g)
+    before = (list(g.edges), unstable_values(g), format_graph(g))
+    # At 1e308 on edge 0, edge 1's plan avoids it with the tree {0, 2}.
+    with pytest.raises(NonFiniteWeightError, match="overflows"):
+        apply_change(ps, g, 0, 1e308)
+    assert (g.edges, unstable_values(g), format_graph(g)) == before
+    _, rebuilt = apply_change(ps, g, 0, 2.0)  # the plans are not stale
+    assert rebuilt.plans == reference_plans(g).plans
+
+
 def test_planning_leaves_the_graph_alone(multi3, monkeypatch):
     # A build reads the values it is given: it neither copies the graph nor
     # sets a weight in it, not even to plan at other frozen values.
