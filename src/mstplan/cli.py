@@ -1,11 +1,12 @@
 """Command-line surface.
 
 Five subcommands: ``precompute`` builds and stores the per-edge plans,
-``query`` answers a what-if value from a stored plan without touching any
-spanning-tree routine, ``simulate`` replays a weight-change event stream and
-benchmarks answer latency against from-scratch recomputation, ``generate``
-emits random test graphs, and ``verify`` cross-checks the engine against the
-exhaustive oracle on small instances.
+``query`` answers a what-if value from a stored plan, which it loads by
+building the plans afresh and checking the file against them, ``simulate``
+replays a weight-change event stream and benchmarks answer latency against
+from-scratch recomputation, ``generate`` emits random test graphs, and
+``verify`` cross-checks the engine against the exhaustive oracle on small
+instances.
 
 Exit codes: 0 success, 1 usage or input errors, 2 verification failure.
 """
@@ -91,9 +92,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as err:
         print(err, file=sys.stderr)
         return 1
@@ -297,3 +297,7 @@ def _grid(cv: float, halfwidth: float, step: float) -> list[float]:
         xs.add(cv - i * step)
         xs.add(cv + i * step)
     return sorted(xs)
+
+
+# Built once per process, now that the ``cmd_*`` functions it names exist.
+_PARSER = build_parser()

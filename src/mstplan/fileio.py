@@ -20,16 +20,14 @@ stored. The fingerprint is ``{"n", "edges", "sha256"}``, the hash taken
 over the edge fields in id order: every ``u``, then every ``v``, as int64,
 then every weight as float64, all little-endian whatever the machine, then
 one kind byte per edge (1 unstable, 0 stable). A weight of ``-0.0`` is
-hashed as ``0.0``, as the graph text writes both as ``0``. A load checks the
-tree once (``n - 1`` distinct ids, no cycle), each swap against the cut its
-edge leaves, and each record's numbers against the plan its trees give at
-the graph's values; it does not check that the trees are minimum. The
-stored ``d_s`` and ``s_v`` are correctly rounded sums of their trees'
-weights (``math.fsum``), so that check does not depend on the order the
-edges are added in; the loader sums the shared tree once and each swap tree
-from it, plus and minus one weight. Files of earlier formats, version 2
-with its text-hash fingerprint or without a version, are refused: re-run
-``precompute``. So is a file with non-integer weights written by an
+hashed as ``0.0``, as the graph text writes both as ``0``. The stored
+``d_s`` and ``s_v`` are correctly rounded sums of their trees' weights
+(``math.fsum``), so they do not depend on the order the edges are added in.
+A plan set is a function of its graph, so a load builds the plans afresh
+and refuses a file that is not what the writer gives for them: every tree
+and total is checked, minimality included. Files of earlier formats,
+version 2 with its text-hash fingerprint or without a version, are refused:
+re-run ``precompute``. So is a file with non-integer weights written by an
 earlier version that added totals edge by edge, when a total misses by an
 ulp.
 
@@ -62,8 +60,7 @@ from .graph import (
     build_graph,
     unstable_values,
 )
-from .plans import EdgePlan, PlanSet, _plan
-from .constrained import SpanningTree
+from .plans import EdgePlan, PlanSet, precompute_all
 
 
 def format_value(value: float) -> str:
@@ -265,11 +262,11 @@ def _shared_tree(ps: PlanSet, g: WeaklyDynamicGraph) -> frozenset[int]:
 def _encode_plan(plan: EdgePlan, tree: frozenset[int], values: dict) -> dict:
     eid = plan.edge_id
     in_tree = eid in tree
-    other = plan.mst_s if in_tree else plan.mst_v
-    swap = None if other is None else min((other.edge_ids ^ tree) - {eid}, default=None)
-    swapped = None if swap is None else _swapped(tree, eid, swap)
-    decoded = (tree, swapped) if in_tree else (swapped, tree)
-    if decoded != (plan.mst_v.edge_ids, plan.mst_s and plan.mst_s.edge_ids):
+    own, other = (plan.mst_v, plan.mst_s) if in_tree else (plan.mst_s, plan.mst_v)
+    traded = frozenset() if other is None else other.edge_ids ^ tree
+    # The other tree trades the edge for one swap; a bridge has no other tree.
+    shaped = in_tree if other is None else len(traded) == 2 and eid in traded
+    if own is None or own.edge_ids != tree or not shaped:
         raise PlanFormatError(f"edge {eid}: plan is not the shared tree plus one swap")
     if dict(plan.frozen_others) != {k: v for k, v in values.items() if k != eid}:
         raise PlanFormatError(
@@ -277,46 +274,26 @@ def _encode_plan(plan: EdgePlan, tree: frozenset[int], values: dict) -> dict:
         )
     return {
         "edge": eid,
-        "swap": swap,
+        "swap": min(traded - {eid}, default=None),
         "d_s": "inf" if math.isinf(plan.d_s) else plan.d_s,
         "s_v": plan.s_v,
         "cv": "inf" if math.isinf(plan.cv) else plan.cv,
     }
 
 
-def _swapped(tree: frozenset[int], edge_id: int, swap: int) -> frozenset[int]:
-    """The plan's other tree: ``edge_id`` leaves or enters ``tree`` against ``swap``."""
-    if edge_id in tree:
-        return tree - {edge_id} | {swap}
-    return tree - {swap} | {edge_id}
-
-
-def _traded(
-    base: SpanningTree, ids: frozenset[int], edge_id: int, swap: int, g: WeaklyDynamicGraph
-) -> SpanningTree:
-    """The tree of ``ids``: ``base`` with the unstable ``edge_id`` and ``swap`` traded.
-
-    Only ``swap`` can bring a stable weight in or take one out, so the exact
-    stable sum is ``base``'s plus or minus that weight: no pass over the tree.
-    """
-    if swap in g.unstable_ids:
-        moved = ()
-    else:
-        w = g._weight[swap]
-        moved = (w,) if edge_id in base.edge_ids else (-w,)
-    return SpanningTree(ids, ids.intersection(g.unstable_ids), base._expansion + moved)
+_RERUN = "re-run `mstplan precompute`"
 
 
 def plans_from_json(text: str, g: WeaklyDynamicGraph) -> PlanSet:
     """Load a plan set, refusing files computed from a different graph.
 
-    Beyond the format version and the fingerprint guard, the shared tree is
-    checked to span the graph, each swap to cross the cut its edge leaves,
-    and each record's ``d_s``, ``s_v`` and ``cv`` against the plan its trees
-    give at the graph's current values, built as a rebuild builds it, so a
-    tampered file is rejected even when its fingerprint was patched up.
-    Whether the trees are minimum is not checked: no spanning-tree search is
-    performed.
+    Beyond the format version and the fingerprint guard, the plans are built
+    with :func:`precompute_all` and the file is checked against them: its
+    tree and each record must be what :func:`plans_to_json` writes for the
+    built set, JSON types included. So a tampered file is refused, even when
+    its fingerprint was patched up, and so is one whose trees are not
+    minimum. The error names the tree, or the first record field that
+    differs. The built set is returned, sharing ``g``'s kernel.
     """
     try:
         doc = json.loads(text)
@@ -327,9 +304,7 @@ def plans_from_json(text: str, g: WeaklyDynamicGraph) -> PlanSet:
     version = doc.get("version")
     if version != _PLAN_FORMAT:
         found = "no format version" if version is None else f"format version {version!r}"
-        raise PlanFormatError(
-            f"plan file has {found}, not {_PLAN_FORMAT}; re-run `mstplan precompute`"
-        )
+        raise PlanFormatError(f"plan file has {found}, not {_PLAN_FORMAT}; {_RERUN}")
     fingerprint = doc.get("fingerprint")
     if not isinstance(fingerprint, dict):
         raise PlanFormatError("missing fingerprint object")
@@ -342,154 +317,36 @@ def plans_from_json(text: str, g: WeaklyDynamicGraph) -> PlanSet:
     if not isinstance(records, list):
         raise PlanFormatError("missing plans array")
 
-    snapshot = unstable_values(g)
-    plans: dict[int, EdgePlan] = {}
-    if records:
-        base, rooted = _decode_tree(doc.get("tree"), g)
-        trees = {base.edge_ids: base}
-        for record in records:
-            plan = _decode_plan(record, g, snapshot, rooted, trees, base)
-            if plan.edge_id in plans:
-                raise PlanFormatError(f"duplicate plan for edge {plan.edge_id}")
-            plans[plan.edge_id] = plan
-    elif doc.get("tree") != []:
-        raise PlanFormatError("a file without plans must hold an empty tree")
-    if set(plans) != set(g.unstable_ids):
+    ps = precompute_all(g)
+    tree = _shared_tree(ps, g)
+    ids = doc.get("tree")
+    if not (ids == sorted(tree) and all(type(i) is int for i in ids)):
+        raise PlanFormatError(f"tree is not the graph's minimum spanning tree; {_RERUN}")
+    wanted = {eid: _encode_plan(plan, tree, ps.snapshot) for eid, plan in ps.plans.items()}
+    seen = set()
+    for record in records:
+        if not isinstance(record, dict):
+            raise PlanFormatError("plan record must be a JSON object")
+        eid = record.get("edge")
+        if type(eid) is not int or eid not in wanted:
+            raise PlanFormatError(f"plan record edge {eid!r} is not an unstable edge of the graph")
+        if eid in seen:
+            raise PlanFormatError(f"duplicate plan for edge {eid}")
+        seen.add(eid)
+        for key, value in wanted[eid].items():
+            # Compare types too: ``True == 1`` and ``1.0 == 1`` in Python.
+            found = record.get(key)
+            if key not in record or type(found) is not type(value) or found != value:
+                stated = repr(found) if key in record else "missing"
+                raise PlanFormatError(
+                    f"edge {eid}: {key} is {stated} in the file, but {value!r} in the "
+                    f"plans built from the graph; {_RERUN}"
+                )
+    if len(seen) != len(wanted):
         raise PlanFormatError(
-            f"plans cover edges {sorted(plans)}, "
-            f"graph's unstable edges are {sorted(g.unstable_ids)}"
+            f"plans cover edges {sorted(seen)}, graph's unstable edges are {sorted(wanted)}"
         )
-    return PlanSet(plans=plans, snapshot=snapshot)
-
-
-class _Rooted(NamedTuple):
-    """A spanning tree rooted at vertex 0."""
-
-    parent: list[int]
-    up: list[int]  # the edge to the parent; -1 at the root
-    depth: list[int]
-
-
-def _rooted(g: WeaklyDynamicGraph, tree: list[int]) -> _Rooted | None:
-    """Root ``tree``, edge ids of ``g``, at vertex 0; None if they are not a spanning tree."""
-    u, v = g._u, g._v
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid in tree:
-        a, b = u[eid], v[eid]
-        adjacent[a].append((b, eid))
-        adjacent[b].append((a, eid))
-    parent = [-1] * g.n
-    up = [-1] * g.n
-    depth = [0] * g.n
-    visit = [0]
-    for x in visit:
-        if len(visit) > g.n:
-            return None  # a vertex was reached twice: the edges hold a cycle
-        for y, eid in adjacent[x]:
-            if eid != up[x]:
-                parent[y], up[y], depth[y] = x, eid, depth[x] + 1
-                visit.append(y)
-    if len(visit) < g.n:
-        return None
-    return _Rooted(parent, up, depth)
-
-
-def _tree_path(rooted: _Rooted, a: int, b: int) -> list[int]:
-    """Edge ids on the tree path between vertices ``a`` and ``b``."""
-    parent, up, depth = rooted
-    path = []
-    while a != b:
-        if depth[a] < depth[b]:
-            a, b = b, a
-        path.append(up[a])
-        a = parent[a]
-    return path
-
-
-def _decode_tree(ids, g: WeaklyDynamicGraph) -> tuple[SpanningTree, _Rooted]:
-    """The shared tree, checked to be a spanning tree of ``g``, and its rooting."""
-    if not isinstance(ids, list) or not all(type(i) is int for i in ids):
-        raise PlanFormatError("tree must be a list of edge ids")
-    if len(ids) != g.n - 1 or len(set(ids)) != g.n - 1:
-        raise PlanFormatError(f"tree must list {g.n - 1} distinct edge ids")
-    m = g.num_edges
-    for i in ids:
-        if not 0 <= i < m:
-            raise PlanFormatError(f"tree names unknown edge {i}")
-    rooted = _rooted(g, ids)
-    if rooted is None:
-        raise PlanFormatError("tree contains a cycle, so it does not span the graph")
-    return SpanningTree.from_edge_ids(g, ids), rooted
-
-
-def _decode_plan(
-    record,
-    g: WeaklyDynamicGraph,
-    snapshot: dict,
-    rooted: _Rooted,
-    trees: dict[frozenset[int], SpanningTree],
-    base: SpanningTree,
-) -> EdgePlan:
-    if not isinstance(record, dict):
-        raise PlanFormatError("plan record must be a JSON object")
-    edge_id = record.get("edge")
-    if isinstance(edge_id, bool) or not isinstance(edge_id, int):
-        raise PlanFormatError(f"bad edge id {edge_id!r}")
-    if edge_id not in snapshot:
-        raise PlanFormatError(f"edge {edge_id} is not an unstable edge of the graph")
-
-    d_s = _decode_value(record, "d_s", edge_id)
-    s_v = _decode_value(record, "s_v", edge_id)
-    cv = _decode_value(record, "cv", edge_id)
-    if "swap" not in record:
-        raise PlanFormatError(f"edge {edge_id}: missing swap")
-    swap = record["swap"]
-    in_tree = edge_id in base.edge_ids
-    if swap is None or math.isinf(d_s):
-        # Only a bridge has no swap: its tree holds it and d_s is infinite.
-        if not (swap is None and in_tree and math.isinf(d_s)):
-            raise PlanFormatError(
-                f"edge {edge_id}: swap must be null exactly when the edge is "
-                f"a tree edge with infinite d_s"
-            )
-        other = None
-    else:
-        if type(swap) is not int or not 0 <= swap < g.num_edges:
-            raise PlanFormatError(f"edge {edge_id}: swap {swap!r} is not an edge id")
-        if (swap in base.edge_ids) == in_tree:
-            where = "outside" if in_tree else "in"
-            raise PlanFormatError(f"edge {edge_id}: swap {swap} must lie {where} the tree")
-        # The swap must cross the cut the tree edge of the pair leaves.
-        cut, path_of = (edge_id, swap) if in_tree else (swap, edge_id)
-        if cut not in _tree_path(rooted, g._u[path_of], g._v[path_of]):
-            raise PlanFormatError(
-                f"edge {edge_id}: swap {swap} does not cross the cut, so it closes a cycle"
-            )
-        ids = _swapped(base.edge_ids, edge_id, swap)
-        other = trees.get(ids) or trees.setdefault(ids, _traded(base, ids, edge_id, swap, g))
-    mst_v, mst_s = (base, other) if in_tree else (other, base)
-    plan = _plan(edge_id, mst_s, mst_v, snapshot)
-    if (plan.d_s, plan.s_v, plan.cv) != (d_s, s_v, cv):
-        raise PlanFormatError(
-            f"edge {edge_id}: record d_s, s_v, cv = {d_s!r}, {s_v!r}, {cv!r}, but its "
-            f"trees at current weights give {plan.d_s!r}, {plan.s_v!r}, {plan.cv!r}; "
-            f"re-run `mstplan precompute`"
-        )
-    return plan
-
-
-def _decode_value(record: dict, key: str, edge_id: int) -> float:
-    if key not in record:
-        raise PlanFormatError(f"edge {edge_id}: missing {key}")
-    value = record[key]
-    if value == "inf":
-        return math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise PlanFormatError(f"edge {edge_id}: bad {key} {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise PlanFormatError(f"edge {edge_id}: {key} must be 'inf' or finite")
-    return value
+    return ps
 
 
 def write_plans(ps: PlanSet, g: WeaklyDynamicGraph, path: str | Path) -> None:

@@ -12,7 +12,9 @@ fingerprinting, planning and plan loading read the columns; the
 them on first use and kept.
 
 Every minimum spanning tree a graph can have is one fixed set of stable edges
-plus a tree of its small :class:`Kernel`, built once and shared with copies.
+plus a tree of its small :class:`Kernel`. Parsing and :func:`build_graph`
+build the kernel with the graph, and the build is the graph's connectivity
+check; copies share it.
 
 Graphs are safe to share read-only across threads; weight replacement needs
 exclusive access. There is no internal locking.
@@ -208,6 +210,10 @@ def _build_kernel(g: "WeaklyDynamicGraph") -> Kernel:
     parent = list(range(n))
     joined = _kruskal(g.unstable_ids, u, v, parent, n - 1)
     forced = _kruskal(stable, u, v, parent, n - 1 - len(joined))
+    if len(joined) + len(forced) < n - 1:
+        raise DisconnectedGraphError(
+            f"graph on {n} vertices is not connected by its full edge set"
+        )
     parent = list(range(n))
     _kruskal(forced, u, v, parent, len(forced))
     contracted = list(parent)  # a root per component of ``forced``
@@ -315,8 +321,10 @@ class WeaklyDynamicGraph:
     def kernel(self) -> Kernel:
         """The graph's :class:`Kernel`; treat as read-only.
 
-        It depends on no unstable value, so it is built on first use and
-        kept for the life of the graph and its copies.
+        It depends on no unstable value, so it is built once, with the
+        graph or on first use, and kept for the life of the graph and its
+        copies. Building it raises DisconnectedGraphError for a graph that
+        is not connected.
         """
         if self._kernel is None:
             self._kernel = _build_kernel(self)
@@ -370,12 +378,10 @@ def build_graph(
 def _graph_of(
     n: int, u: list[int], v: list[int], weight: list[float], unstable: list[int]
 ) -> WeaklyDynamicGraph:
-    """The graph of validated edge columns; it must be connected."""
-    if not _spans(n, u, v, range(len(weight))):
-        raise DisconnectedGraphError(
-            f"graph on {n} vertices is not connected by its full edge set"
-        )
-    return _graph(n, u, v, weight, tuple(unstable))
+    """The graph of validated edge columns, with its kernel; it must be connected."""
+    g = _graph(n, u, v, weight, tuple(unstable))
+    g.kernel()  # raises DisconnectedGraphError for a graph that is not connected
+    return g
 
 
 def _validate_edge(n: int, u: int, v: int, weight: float) -> None:

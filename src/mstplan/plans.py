@@ -98,9 +98,7 @@ class PlanSet:
     snapshot: Mapping[int, float]
     # The kernel of the graph the plans were built from. Only that graph and
     # its copies share it, so ``apply_change`` refuses a plan set whose
-    # kernel is another graph's. A loaded plan set has none: the file's
-    # fingerprint already bound it to its graph, and its first change
-    # rebuilds every plan rather than keep one.
+    # kernel is another graph's.
     _kernel: Kernel | None = field(default=None, repr=False, compare=False)
 
 
@@ -268,14 +266,14 @@ def apply_change(
             "plan set was built at other unstable values than the graph holds; "
             "rebuild it with precompute_all"
         )
-    if ps._kernel is not None and ps._kernel is not g.kernel():
+    if ps._kernel is not g.kernel():
         raise StalePlanSetError(
-            "plan set was built on another graph; rebuild it with precompute_all"
+            "plan set was not built on this graph or a copy of it; "
+            "rebuild it with precompute_all"
         )
     immediate = select_tree(plan, new_x)
-    previous = ps.plans if ps._kernel is not None else {}
     values = {**current, edge_id: float(new_x)}
-    plans = _build_plans(g, values, g.unstable_ids, previous)
+    plans = _build_plans(g, values, g.unstable_ids, ps.plans)
     set_unstable_weight(g, edge_id, new_x)
     return immediate, PlanSet(plans, values, g.kernel())
 

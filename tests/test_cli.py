@@ -6,6 +6,7 @@ import sys
 import pytest
 from helpers import BRIDGE_TEXT, M3_TEXT, THRESHOLD8_TEXT, TRIANGLE_TEXT
 
+import mstplan.graph
 from mstplan import Selection, parse_graph
 from mstplan.cli import main
 
@@ -89,14 +90,25 @@ def test_query_both_sides_of_threshold(tmp_path, capsys):
 def test_query_reads_plans_without_tree_search(tmp_path, capsys, monkeypatch):
     graph, plan = prepared(tmp_path, capsys, THRESHOLD8_TEXT)
 
+    # The load rebuilds the plans to check the file, from the kernel the
+    # parse builds: one kernel build per query, and no full tree search.
     def boom(*args, **kwargs):
-        raise AssertionError("a spanning tree search ran during query")
+        raise AssertionError("a full spanning tree search ran during query")
 
-    monkeypatch.setattr("mstplan.graph._build_kernel", boom)
-    monkeypatch.setattr("mstplan.graph._kruskal", boom)
+    builds = []
+    build_kernel = mstplan.graph._build_kernel
+
+    def counted(g):
+        builds.append(g)
+        return build_kernel(g)
+
+    monkeypatch.setattr("mstplan.graph._build_kernel", counted)
     monkeypatch.setattr("mstplan.cli.constrained_mst_kruskal", boom)
-    assert main(["query", plan, graph, "--edge", "5", "--x", "7"]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "variable 39"
+    monkeypatch.setattr("mstplan.constrained.constrained_mst_kruskal", boom)
+    for x in ("7", "9"):
+        assert main(["query", plan, graph, "--edge", "5", "--x", x]) == 0
+    assert capsys.readouterr().out.splitlines()[::2] == ["variable 39", "stable 40"]
+    assert len(builds) == 2
 
 
 def test_query_stable_edge_refused(tmp_path, capsys):

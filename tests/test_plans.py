@@ -385,9 +385,8 @@ def test_rebuild_runs_no_constrained_search(monkeypatch, tmp_path):
                     monkeypatch.setattr(module, search, boom)
 
     g = parse_graph(M3_TEXT)
-    assert g._kernel is None  # parsing builds no kernel
+    kernel = g._kernel  # parsing builds the kernel
     ps = precompute_all(g)
-    kernel = g._kernel
     assert ps._kernel is kernel
     assert kernel.forced == {2}  # stable weights 3, 4, 5, 6; only 2 is forced
     assert kernel.supers == 4
@@ -399,8 +398,8 @@ def test_rebuild_runs_no_constrained_search(monkeypatch, tmp_path):
     path = tmp_path / "m3.plan"
     write_plans(ps, g, path)
     loaded = parse_graph(format_graph(g))
-    assert read_plans(path, loaded)._kernel is None
-    assert loaded._kernel is None  # loading plans builds none either
+    assert loaded._kernel is not None and loaded._kernel is not kernel
+    assert read_plans(path, loaded)._kernel is loaded._kernel  # the load shares it
 
     precompute_plan(g, 5, {4: 1.0, 6: 8.0})
     set_unstable_weight(g, 5, 3.0)
