@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage or input errors, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import math
 import statistics
 import sys
 import time
@@ -30,9 +31,9 @@ from .fileio import (
     plans_from_json,
     plans_to_json,
 )
-from .graph import WeaklyDynamicGraph, set_unstable_weight
+from .graph import set_unstable_weight
 from .oracle import brute_constrained_min, brute_critical_value, enumerate_spanning_trees
-from .plans import PlanSet, apply_change, precompute_all, select_tree
+from .plans import apply_change, precompute_all, select_tree
 
 
 class _UsageError(Exception):
@@ -115,16 +116,8 @@ def _read_text(path: str) -> str:
         raise Error(f"cannot open {path}: {err.strerror or err}") from None
 
 
-def _load_graph(path: str) -> WeaklyDynamicGraph:
-    return parse_graph(_read_text(path))
-
-
-def _load_plans(plan_path: str, g: WeaklyDynamicGraph) -> PlanSet:
-    return plans_from_json(_read_text(plan_path), g)
-
-
 def cmd_precompute(args) -> int:
-    g = _load_graph(args.graph)
+    g = parse_graph(_read_text(args.graph))
     ps = precompute_all(g)
     try:
         Path(args.output).write_text(plans_to_json(ps, g), encoding="utf-8")
@@ -140,8 +133,8 @@ def cmd_precompute(args) -> int:
 
 
 def cmd_query(args) -> int:
-    g = _load_graph(args.graph)
-    ps = _load_plans(args.plan, g)
+    g = parse_graph(_read_text(args.graph))
+    ps = plans_from_json(_read_text(args.plan), g)
     if args.edge not in ps.plans:
         g.weight(args.edge)  # raises for an unknown id
         raise Error(f"edge {args.edge} is stable; only unstable edges have plans")
@@ -152,8 +145,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    g = _load_graph(args.graph)
-    ps = _load_plans(args.plan, g)
+    g = parse_graph(_read_text(args.graph))
+    ps = plans_from_json(_read_text(args.plan), g)
     events = parse_events(_read_text(args.events))
 
     # Warm-up pass, excluded from the stats: one selection per plan (this
@@ -249,7 +242,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
+    # Chained comparisons are False for NaN, so NaN is refused too.
+    if not (0 < args.step < math.inf and 0 <= args.halfwidth < math.inf):
+        raise Error("grid step must be finite and > 0, and halfwidth finite and >= 0")
+    g = parse_graph(_read_text(args.graph))
     ps = precompute_all(g)
     if not ps.plans:
         print("no unstable edges; nothing to verify")
@@ -289,8 +285,6 @@ def _grid(cv: float, halfwidth: float, step: float) -> list[float]:
     # A bridge edge has an infinite threshold; probe two far-apart values.
     if cv == float("inf"):
         return [0.0, 10.0**6]
-    if step <= 0 or halfwidth < 0:
-        raise Error("grid step must be > 0 and halfwidth >= 0")
     xs = {cv}
     count = int(halfwidth / step + 1e-9)
     for i in range(1, count + 1):

@@ -22,7 +22,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
-from .errors import InvalidConstraintsError, UnknownEdgeError
+from .errors import InvalidConstraintsError
 from .graph import DisjointSetUnion, WeaklyDynamicGraph, _exact_sum, _fsum, unstable_values
 
 

@@ -25,7 +25,9 @@ hashed as ``0.0``, as the graph text writes both as ``0``. The stored
 (``math.fsum``), so they do not depend on the order the edges are added in.
 A plan set is a function of its graph, so a load builds the plans afresh
 and refuses a file that is not what the writer gives for them: every tree
-and total is checked, minimality included. Files of earlier formats,
+and total is checked, minimality included. The writer refuses a plan set
+that is not the graph's minimum spanning tree plus one swap per unstable
+edge. Files of earlier formats,
 version 2 with its text-hash fingerprint or without a version, are refused:
 re-run ``precompute``. So is a file with non-integer weights written by an
 earlier version that added totals edge by edge, when a total misses by an
@@ -60,7 +62,7 @@ from .graph import (
     build_graph,
     unstable_values,
 )
-from .plans import EdgePlan, PlanSet, precompute_all
+from .plans import EdgePlan, PlanSet, _minimum_tree, precompute_all
 
 
 def format_value(value: float) -> str:
@@ -216,17 +218,18 @@ _PLAN_FORMAT = 3
 def plans_to_json(ps: PlanSet, g: WeaklyDynamicGraph) -> str:
     """Serialize a plan set computed from ``g`` (at ``g``'s current values).
 
-    The file holds the one tree every plan shares plus each plan's swap, so
-    a plan set that is not of that shape, or was not built at ``g``'s
-    values, is refused with :class:`PlanFormatError` before anything is
-    written.
+    The file holds the graph's minimum spanning tree plus each plan's swap,
+    so a plan set that is not that tree plus one swap per unstable edge, or
+    was not built at ``g``'s values, is refused with
+    :class:`PlanFormatError` before anything is written.
     """
     values = unstable_values(g)
     if dict(ps.snapshot) != values:
         raise PlanFormatError(
             "plan set was built at other unstable values than the graph holds"
         )
-    tree = _shared_tree(ps, g)
+    _refuse_cover(ps.plans, g.unstable_ids)
+    tree = _minimum_tree(g, values) if g.unstable_ids else frozenset()
     doc = {
         "version": _PLAN_FORMAT,
         "fingerprint": graph_fingerprint(g),
@@ -236,27 +239,12 @@ def plans_to_json(ps: PlanSet, g: WeaklyDynamicGraph) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _shared_tree(ps: PlanSet, g: WeaklyDynamicGraph) -> frozenset[int]:
-    """Edge ids of the tree every plan holds as its ``mst_v`` or ``mst_s``.
-
-    Empty for a plan set with no plans.
-    """
-    if not ps.plans:
-        return frozenset()
-    common = set.intersection(
-        *({t.edge_ids for t in (p.mst_v, p.mst_s) if t is not None} for p in ps.plans.values())
-    )
-    if not common:
-        raise PlanFormatError("the plans share no spanning tree")
-    if len(common) == 1:
-        return common.pop()
-    # Two trees remain only when every plan holds both, and then they differ
-    # by one swap. The minimum spanning tree sorts first in (weight, id)
-    # order, so it is the one holding the lighter of the two edges traded.
-    first, second = common
-    weight = g._weight
-    lightest = min(first ^ second, key=lambda eid: (weight[eid], eid))
-    return first if lightest in first else second
+def _refuse_cover(covered, unstable) -> None:
+    """Refuse plans for edges ``covered`` unless they are the ``unstable`` ones."""
+    if sorted(covered) != sorted(unstable):
+        raise PlanFormatError(
+            f"plans cover edges {sorted(covered)}, graph's unstable edges are {sorted(unstable)}"
+        )
 
 
 def _encode_plan(plan: EdgePlan, tree: frozenset[int], values: dict) -> dict:
@@ -267,7 +255,9 @@ def _encode_plan(plan: EdgePlan, tree: frozenset[int], values: dict) -> dict:
     # The other tree trades the edge for one swap; a bridge has no other tree.
     shaped = in_tree if other is None else len(traded) == 2 and eid in traded
     if own is None or own.edge_ids != tree or not shaped:
-        raise PlanFormatError(f"edge {eid}: plan is not the shared tree plus one swap")
+        raise PlanFormatError(
+            f"edge {eid}: plan is not the graph's minimum spanning tree plus one swap"
+        )
     if dict(plan.frozen_others) != {k: v for k, v in values.items() if k != eid}:
         raise PlanFormatError(
             f"edge {eid}: frozen_others is not the graph's values without the edge"
@@ -318,7 +308,7 @@ def plans_from_json(text: str, g: WeaklyDynamicGraph) -> PlanSet:
         raise PlanFormatError("missing plans array")
 
     ps = precompute_all(g)
-    tree = _shared_tree(ps, g)
+    tree = _minimum_tree(g, ps.snapshot) if g.unstable_ids else frozenset()
     ids = doc.get("tree")
     if not (ids == sorted(tree) and all(type(i) is int for i in ids)):
         raise PlanFormatError(f"tree is not the graph's minimum spanning tree; {_RERUN}")
@@ -342,10 +332,7 @@ def plans_from_json(text: str, g: WeaklyDynamicGraph) -> PlanSet:
                     f"edge {eid}: {key} is {stated} in the file, but {value!r} in the "
                     f"plans built from the graph; {_RERUN}"
                 )
-    if len(seen) != len(wanted):
-        raise PlanFormatError(
-            f"plans cover edges {sorted(seen)}, graph's unstable edges are {sorted(wanted)}"
-        )
+    _refuse_cover(seen, wanted)
     return ps
 
 

@@ -9,12 +9,13 @@ So a graph is stored as three flat columns indexed by edge id, both
 endpoints and the weight, plus the ids of its unstable edges. Parsing,
 fingerprinting, planning and plan loading read the columns; the
 :class:`Edge` objects of ``edges`` and ``edge(i)`` are a view built from
-them on first use and kept.
+them on first use and kept, never one passed in.
 
 Every minimum spanning tree a graph can have is one fixed set of stable edges
 plus a tree of its small :class:`Kernel`. Parsing and :func:`build_graph`
 build the kernel with the graph, and the build is the graph's connectivity
-check; copies share it.
+check. Only copies share it: a graph made any other way, from another's
+edges too, builds its own.
 
 Graphs are safe to share read-only across threads; weight replacement needs
 exclusive access. There is no internal locking.
@@ -25,8 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import filterfalse, islice
-from typing import Iterable, Iterator
+from itertools import filterfalse
+from typing import Iterable
 
 from .errors import (
     DisconnectedGraphError,
@@ -53,27 +54,6 @@ class Edge:
     v: int
     weight: float
     kind: EdgeKind
-
-
-_set_id, _set_u, _set_v, _set_weight, _set_kind = (
-    getattr(Edge, name).__set__ for name in ("id", "u", "v", "weight", "kind")
-)
-
-
-def _new_edge(eid: int, u: int, v: int, weight: float, kind: EdgeKind) -> Edge:
-    """``Edge(eid, u, v, weight, kind)``, fields unchecked, in about half the time.
-
-    It fills the slots through their descriptors, skipping the frozen
-    ``__init__``'s ``object.__setattr__`` calls; a graph's ``Edge`` view
-    makes one per edge.
-    """
-    e = object.__new__(Edge)
-    _set_id(e, eid)
-    _set_u(e, u)
-    _set_v(e, v)
-    _set_weight(e, weight)
-    _set_kind(e, kind)
-    return e
 
 
 class DisjointSetUnion:
@@ -107,13 +87,16 @@ class DisjointSetUnion:
         return True
 
 
-def _joining(order: Iterable[int], u, v, parent: list[int]) -> Iterator[int]:
-    """Ids of ``order`` whose edge joins two sets of ``parent``, merging them.
+def _kruskal(order: Iterable[int], u, v, parent: list[int], need: int) -> list[int]:
+    """Ids of ``order`` that join two sets of ``parent``, until ``need`` have.
 
     Edge ``eid`` joins ``u[eid]`` and ``v[eid]``; ``parent`` is updated in
     place. The union-find is inlined: this loop is most of a kernel build
     and of a graph's connectivity check.
     """
+    tree: list[int] = []
+    if need <= 0:
+        return tree
     for eid in order:
         a = u[eid]
         b = v[eid]
@@ -125,18 +108,10 @@ def _joining(order: Iterable[int], u, v, parent: list[int]) -> Iterator[int]:
             b = parent[b]
         if a != b:
             parent[a] = b
-            yield eid
-
-
-def _kruskal(order: Iterable[int], u, v, parent: list[int], need: int) -> list[int]:
-    """Ids of ``order`` that join two sets of ``parent``, until ``need`` have."""
-    return list(islice(_joining(order, u, v, parent), need))
-
-
-def _spans(n: int, u, v, order: Iterable[int]) -> bool:
-    """True iff the edges of ``order`` connect all ``n`` vertices."""
-    need = n - 1
-    return sum(1 for _ in islice(_joining(order, u, v, list(range(n))), need)) == need
+            tree.append(eid)
+            if len(tree) == need:
+                break
+    return tree
 
 
 def _fsum(values: Iterable[float]) -> float:
@@ -234,7 +209,6 @@ def _build_kernel(g: "WeaklyDynamicGraph") -> Kernel:
     return Kernel(frozenset(forced), supers, tuple(kernel_stable), kernel_ends, forced_sum)
 
 
-@dataclass(init=False)
 class WeaklyDynamicGraph:
     """A weighted undirected multigraph whose unstable edges may change value.
 
@@ -244,27 +218,19 @@ class WeaklyDynamicGraph:
     of :class:`Edge` objects built from the columns on first read and kept,
     so repeated reads return the same objects; treat it as read-only, and
     change a weight with :func:`set_unstable_weight`. A graph built from
-    ``edges`` takes its columns from them.
+    ``edges`` takes its columns from them and keeps none of the objects.
+    Graphs compare by identity.
     """
 
-    n: int
-    edges: list[Edge]
-    unstable_ids: tuple[int, ...]
-    _kernel: Kernel | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("n", "unstable_ids", "_u", "_v", "_weight", "_edges", "_kernel")
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[Edge],
-        unstable_ids: tuple[int, ...],
-        _kernel: Kernel | None = None,
-    ):
+    def __init__(self, n: int, edges: Iterable[Edge], unstable_ids: tuple[int, ...]):
         edges = list(edges)
         u = [e.u for e in edges]
         v = [e.v for e in edges]
-        self._fill(n, u, v, [e.weight for e in edges], unstable_ids, _kernel, edges)
+        self._fill(n, u, v, [e.weight for e in edges], unstable_ids, None)
 
-    def _fill(self, n, u, v, weight, unstable_ids, kernel, edges) -> None:
+    def _fill(self, n, u, v, weight, unstable_ids, kernel) -> None:
         self.n = n
         self.unstable_ids = unstable_ids
         self._kernel = kernel
@@ -273,15 +239,14 @@ class WeaklyDynamicGraph:
         self._u: list[int] = u
         self._v: list[int] = v
         self._weight: list[float] = weight
-        self._edges: list[Edge] | None = edges
+        self._edges: list[Edge] | None = None
 
     @property
     def edges(self) -> list[Edge]:
         if self._edges is None:
             unstable = set(self.unstable_ids)
-            stable_kind, unstable_kind = EdgeKind.STABLE, EdgeKind.UNSTABLE
             self._edges = [
-                _new_edge(eid, a, b, w, unstable_kind if eid in unstable else stable_kind)
+                Edge(eid, a, b, w, EdgeKind.UNSTABLE if eid in unstable else EdgeKind.STABLE)
                 for eid, (a, b, w) in enumerate(zip(self._u, self._v, self._weight))
             ]
         return self._edges
@@ -311,12 +276,11 @@ class WeaklyDynamicGraph:
         """Independent copy; mutating one graph's weights leaves the other alone.
 
         The copy shares the kernel, building it first if need be, so plans
-        built on either graph are accepted by the other. It shares the
-        ``Edge`` objects too, building them first if need be.
+        built on either graph are accepted by the other. It builds no
+        ``Edge`` view.
         """
         weight = list(self._weight)
-        edges = list(self.edges)
-        return _graph(self.n, self._u, self._v, weight, self.unstable_ids, self.kernel(), edges)
+        return _graph(self.n, self._u, self._v, weight, self.unstable_ids, self.kernel())
 
     def kernel(self) -> Kernel:
         """The graph's :class:`Kernel`; treat as read-only.
@@ -331,10 +295,10 @@ class WeaklyDynamicGraph:
         return self._kernel
 
 
-def _graph(n, u, v, weight, unstable_ids, kernel=None, edges=None) -> WeaklyDynamicGraph:
-    """The graph of these columns, unchecked; with no ``edges``, none are built."""
+def _graph(n, u, v, weight, unstable_ids, kernel=None) -> WeaklyDynamicGraph:
+    """The graph of these columns, unchecked, sharing ``kernel`` if one is given."""
     g = object.__new__(WeaklyDynamicGraph)
-    g._fill(n, u, v, weight, unstable_ids, kernel, edges)
+    g._fill(n, u, v, weight, unstable_ids, kernel)
     return g
 
 
@@ -400,7 +364,7 @@ def is_connected(g: WeaklyDynamicGraph, excluded: frozenset[int] | set[int]) -> 
     for eid in excluded:
         g._check_edge(eid)
     kept = filterfalse(excluded.__contains__, range(g.num_edges))
-    return _spans(g.n, g._u, g._v, kept)
+    return len(_kruskal(kept, g._u, g._v, list(range(g.n)), g.n - 1)) == g.n - 1
 
 
 def set_unstable_weight(

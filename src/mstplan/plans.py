@@ -125,6 +125,28 @@ def _plan(
     return EdgePlan(eid, mst_s, d_s, mst_v, s_v, d_s - s_v, others)
 
 
+def _kernel_order(g: WeaklyDynamicGraph, values: Mapping[int, float]) -> list[int]:
+    """The kernel's edges in ``(weight, id)`` order, unstable ones at ``values``.
+
+    It is the tie rule of every tree a plan holds, and of the graph's
+    minimum spanning tree.
+    """
+    kernel = g.kernel()
+    weight = {eid: g._weight[eid] for eid in kernel.stable}
+    weight.update(values)
+    return sorted(kernel.ends, key=lambda eid: (weight[eid], eid))
+
+
+def _minimum_tree(g: WeaklyDynamicGraph, values: Mapping[int, float]) -> frozenset[int]:
+    """Edge ids of the graph's minimum spanning tree, unstable edges at ``values``.
+
+    Every plan built at ``values`` holds it, as ``mst_v`` for an edge in it
+    and as ``mst_s`` for an edge outside.
+    """
+    kernel = g.kernel()
+    return kernel.forced.union(kernel.spanning(_kernel_order(g, values)))
+
+
 def _build_plans(
     g: WeaklyDynamicGraph,
     values: Mapping[int, float],
@@ -156,22 +178,19 @@ def _build_plans(
         if t is not None
     }
 
-    weight = {eid: g._weight[eid] for eid in kernel.stable}
-    weight.update(values)
-
     def tree_of(part: list[int]) -> SpanningTree:
         key = frozenset(part)
         if key not in known:
             # The stable sum is the forced edges' exact sum plus the at most
             # k stable kernel weights: no pass over the tree's n - 1 edges.
             unstable = key.intersection(values)
-            stable = tuple(weight[eid] for eid in key - unstable)
+            stable = tuple(g._weight[eid] for eid in key - unstable)
             known[key] = SpanningTree(
                 kernel.forced | key, unstable, kernel._forced_expansion + stable
             )
         return known[key]
 
-    order = sorted(kernel.ends, key=lambda eid: (weight[eid], eid))
+    order = _kernel_order(g, values)
     plans = {}
     for eid in edge_ids:
         if eid in kept:

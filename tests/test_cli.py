@@ -288,6 +288,31 @@ def test_verify_custom_grid(tmp_path, capsys):
     assert len(lines) == 4  # cv row, then x in {1, 2, 3}
 
 
+@pytest.mark.parametrize(
+    "text, grid",
+    [
+        (BRIDGE_TEXT, ["--step", "0"]),  # a bridge's grid never reads the step
+        (THRESHOLD8_TEXT, ["--step", "0"]),
+        (THRESHOLD8_TEXT, ["--step", "-1"]),
+        (THRESHOLD8_TEXT, ["--step", "nan"]),
+        (THRESHOLD8_TEXT, ["--step", "inf"]),
+        (THRESHOLD8_TEXT, ["--halfwidth", "-1"]),
+        (THRESHOLD8_TEXT, ["--halfwidth", "nan"]),
+        (THRESHOLD8_TEXT, ["--halfwidth", "inf"]),
+    ],
+    ids=["bridge-step-0", "step-0", "step-neg", "step-nan", "step-inf",
+         "halfwidth-neg", "halfwidth-nan", "halfwidth-inf"],
+)
+def test_verify_refuses_a_bad_grid_before_any_output(tmp_path, capsys, text, grid):
+    graph = write(tmp_path, "g.graph", text)
+    assert main(["verify", graph, *grid]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "mstplan: grid step must be finite and > 0, and halfwidth finite and >= 0\n"
+    )
+
+
 def test_verify_nothing_to_check(tmp_path, capsys):
     graph = write(tmp_path, "s.graph", "p wdg 2 1\ne 0 1 4\n")
     assert main(["verify", graph]) == 0

@@ -251,7 +251,7 @@ def test_fingerprint_agrees_across_paths_and_tracks_every_field(tmp_path):
         e = g.edge(i)
         flipped = EdgeKind.STABLE if e.kind is EdgeKind.UNSTABLE else EdgeKind.UNSTABLE
         changed = [
-            dataclasses.replace(g, n=n + 1),
+            WeaklyDynamicGraph(n + 1, g.edges, g.unstable_ids),
             _edited(g, {i: dataclasses.replace(e, u=e.v, v=e.u)}),
             _edited(g, {i: dataclasses.replace(e, weight=math.nextafter(e.weight, 9.0))}),
             _edited(g, {i: dataclasses.replace(e, kind=flipped)}),
@@ -616,17 +616,51 @@ def at_weights(plan, g):
     return dataclasses.replace(plan, mst_s=mst_s, d_s=d_s, mst_v=mst_v, s_v=s_v, cv=d_s - s_v)
 
 
-def test_plans_built_at_other_stable_weights_are_refused(threshold8):
+# The forged plan set below as a writer that took the plans' shared tree
+# wrote it: a spanning tree and a swap with consistent totals.
+FORGED_THRESHOLD8_PLAN = """\
+{
+  "fingerprint": {
+    "edges": 6,
+    "n": 6,
+    "sha256": "5ba3bda79d2787d2ae91007a39c62eaf4c51ec1f649cbc6403240d8c9f9ba3e1"
+  },
+  "plans": [
+    {
+      "cv": 5.0,
+      "d_s": 40.0,
+      "edge": 5,
+      "s_v": 35.0,
+      "swap": 0
+    }
+  ],
+  "tree": [
+    0,
+    1,
+    2,
+    3,
+    4
+  ],
+  "version": 3
+}
+"""
+
+
+def test_plans_built_at_other_stable_weights_are_refused(tmp_path, threshold8):
     # Plans built with stable edge 0 raised by 100, totals restated at the
     # real weights: each tree spans and each total adds up, but the trees
-    # are not minimum.
+    # are not minimum. The writer refuses them; the loader refuses the file.
     raised = parse_graph(THRESHOLD8_TEXT.replace("e 0 2 5", "e 0 2 105"))
     ps = precompute_all(raised)
     forged = PlanSet({eid: at_weights(p, threshold8) for eid, p in ps.plans.items()}, ps.snapshot)
     assert select_tree(forged.plans[5], 4.0).total_weight == 39
     assert select_tree(precompute_all(threshold8).plans[5], 4.0).total_weight == 36
+    path = tmp_path / "forged.plan"
+    with pytest.raises(PlanFormatError, match="^edge 5: plan is not the graph's minimum"):
+        write_plans(forged, threshold8, path)
+    assert not path.exists()
     with pytest.raises(PlanFormatError, match="^tree is not the graph's minimum spanning tree"):
-        plans_from_json(plans_to_json(forged, threshold8), threshold8)
+        plans_from_json(FORGED_THRESHOLD8_PLAN, threshold8)
 
 
 def test_spanning_tree_that_is_not_minimum_is_refused(threshold8):
@@ -737,10 +771,10 @@ def test_writer_refuses_what_is_not_one_tree_plus_swaps(tmp_path, multi3):
         assert not path.exists()
 
     path_tree = SpanningTree.from_edge_ids(multi3, [0, 1, 2, 3])
-    # Plan 6 holds neither the shared tree nor a swap of it.
+    # Plan 6 holds neither the minimum tree nor a swap of it.
     elsewhere = dataclasses.replace(ps.plans[6], mst_v=path_tree, mst_s=path_tree)
-    refused({**ps.plans, 6: elsewhere}, "share no spanning tree")
-    # Plan 6 holds the shared tree, but its other tree is two swaps away.
+    refused({**ps.plans, 6: elsewhere}, "^edge 6: plan is not the graph's minimum spanning tree")
+    # Plan 6 holds the minimum tree, but its other tree is two swaps away.
     two_swaps = dataclasses.replace(ps.plans[6], mst_s=path_tree)
     refused({**ps.plans, 6: two_swaps}, "one swap")
     # Plan 4 froze another value of edge 5 than the graph holds.
@@ -748,6 +782,10 @@ def test_writer_refuses_what_is_not_one_tree_plus_swaps(tmp_path, multi3):
     stale = dataclasses.replace(ps.plans[4], frozen_others=frozen)
     refused({**ps.plans, 4: stale}, "frozen_others")
     refused(dict(ps.plans), "other unstable values", snapshot={4: 2.0, 5: 7.0, 6: 0.0})
+    # A set without a plan for every unstable edge.
+    cover = r"^plans cover edges \[{}\], graph's unstable edges are \[4, 5, 6\]$"
+    refused({4: ps.plans[4]}, cover.format("4"))
+    refused({}, cover.format(""))
 
 
 def test_random_plan_files_round_trip_and_survive_swap_tampering():

@@ -164,11 +164,12 @@ def test_built_and_parsed_edges_are_frozen_edges():
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(e, name, 1)
     assert parsed.edges == built.edges
-    # A weight change replaces the edge, so a copy keeps the old one.
+    # A weight change replaces the edge. A copy builds no view; the one it
+    # builds later keeps the old weight.
     copy = parsed.copy()
     old = parsed.edge(2)
     set_unstable_weight(parsed, 2, 9.0)
-    assert old.weight == 0.5 and copy.edge(2) is old
+    assert old.weight == 0.5 and copy._edges is None and copy.edge(2) == old
     assert parsed.edge(2) == Edge(2, 1, 2, 9.0, EdgeKind.UNSTABLE)
 
 
@@ -255,15 +256,16 @@ def test_every_way_to_make_a_graph_stores_the_same_graph():
         assert built._edges is None and parsed._edges is None  # no Edge built yet
         unstable = tuple(i for i, spec in enumerate(specs) if spec[3] == "unstable")
         kinds = {"stable": EdgeKind.STABLE, "unstable": EdgeKind.UNSTABLE}
-        direct = WeaklyDynamicGraph(
-            n, [Edge(i, u, v, float(w), kinds[k]) for i, (u, v, w, k) in enumerate(specs)], unstable
-        )
-        for g in (built, parsed, direct, dataclasses.replace(parsed)):
+        passed = [Edge(i, u, v, float(w), kinds[k]) for i, (u, v, w, k) in enumerate(specs)]
+        direct = WeaklyDynamicGraph(n, passed, unstable)
+        assert direct._edges is None  # it keeps none of the passed objects
+        rebuilt = WeaklyDynamicGraph(n, parsed.edges, parsed.unstable_ids)
+        for g in (built, parsed, direct, rebuilt):
             assert g.n == n and g.unstable_ids == unstable
             assert unstable_values(g) == unstable_values(built)
             assert graph_fingerprint(g) == graph_fingerprint(built)
             assert _columns(g) == [(u, v, w) for u, v, w, _ in specs]
-            assert g.edges == direct.edges and g.edges is g.edges
+            assert g.edges == passed and g.edges is g.edges
             assert format_graph(g) == text
 
         # A weight change writes the column and replaces the one Edge built.
@@ -280,8 +282,8 @@ def test_every_way_to_make_a_graph_stores_the_same_graph():
         assert _edge_fields(viewed) == _columns(viewed) == _columns(lazy) == _edge_fields(lazy)
         for eid, (old, new) in enumerate(zip(before, viewed.edges)):
             assert (old is new) == (eid not in changed)
-        # The copy kept the old weights and shares the old Edge objects.
-        assert copy.edges == before and all(a is b for a, b in zip(copy.edges, before))
+        # The copy kept the old weights and built no view of its own.
+        assert copy._edges is None and copy.edges == before
         assert _columns(copy) == _edge_fields(copy)
         assert graph_fingerprint(copy) == graph_fingerprint(parse_graph(text))
 
@@ -301,7 +303,6 @@ def test_no_edge_object_is_built_to_load_plan_or_answer(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an Edge object was built")
 
-    monkeypatch.setattr("mstplan.graph._new_edge", refuse)
     monkeypatch.setattr(Edge, "__init__", refuse)
     text = format_graph(generate_graph(1200, 3600, 8, seed=7))
     g = parse_graph(text)

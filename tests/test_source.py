@@ -1,0 +1,39 @@
+"""Static checks of the package source, made with ``ast`` alone."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mstplan"
+# ``__init__.py`` imports names to re-export them.
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads, ``from __future__`` aside."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in read)
+
+
+def test_unused_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as j\nfrom math import inf, nan as n\n"
+        "def f(x: inf) -> None:\n    return os.sep  # n and j only in a comment\n"
+    )
+    assert unused_imports(source) == ["line 3: j", "line 4: n"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_imports_a_name_it_never_uses(module):
+    assert unused_imports(module.read_text(encoding="utf-8")) == []
