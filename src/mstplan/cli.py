@@ -242,9 +242,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # Chained comparisons are False for NaN, so NaN is refused too.
-    if not (0 < args.step < math.inf and 0 <= args.halfwidth < math.inf):
-        raise Error("grid step must be finite and > 0, and halfwidth finite and >= 0")
+    # Chained comparisons are False for NaN, so NaN is refused too. The
+    # ratio is read only once the step is known to be positive.
+    step, halfwidth = args.step, args.halfwidth
+    if not (0 < step < math.inf and 0 <= halfwidth < math.inf and halfwidth / step < math.inf):
+        raise Error(
+            "grid step must be finite and > 0, halfwidth finite and >= 0, "
+            "and halfwidth / step finite"
+        )
     g = parse_graph(_read_text(args.graph))
     ps = precompute_all(g)
     if not ps.plans:
@@ -266,7 +271,7 @@ def cmd_verify(args) -> int:
             f"cv: engine={format_value(plan.cv)} "
             f"oracle={format_value(oracle_cv)} {'OK' if ok else 'MISMATCH'}"
         )
-        for x in _grid(plan.cv, args.halfwidth, args.step):
+        for x in _grid(plan.cv, halfwidth, step):
             selected = select_tree(plan, x).total_weight
             set_unstable_weight(view, eid, x)
             best = brute_constrained_min(catalog)

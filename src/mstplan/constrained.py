@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import Iterable, Mapping, Union
 
 from .errors import InvalidConstraintsError
-from .graph import DisjointSetUnion, WeaklyDynamicGraph, _exact_sum, _fsum, unstable_values
+from .graph import WeaklyDynamicGraph, _exact_sum, _fsum, _kruskal, unstable_values
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,16 @@ class Constraints:
             )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SpanningTree:
     """An edge-id set forming a spanning tree, with its stable weight cached.
+
+    The ids are a shared ``_base`` plus a ``_part`` disjoint from it: for a
+    tree of a graph's kernel, the kernel's forced edges plus at most k
+    kernel edges; for any other tree, all its ids and no part. ``edge_ids``,
+    their union, is built on first read and kept. Trees compare by ids,
+    ``stable_sum`` and ``unstable_members`` and hash by ids, however they
+    were built; two trees of one base compare only their parts.
 
     ``stable_sum`` is the correctly rounded sum of the stable member
     weights (``math.fsum``), so it does not depend on the order they are
@@ -58,14 +66,40 @@ class SpanningTree:
     ``unstable_members`` are the member edges whose weights may still move.
     """
 
-    edge_ids: frozenset[int]
-    stable_sum: float = field(init=False)
+    _base: frozenset[int]
+    _part: frozenset[int]
     unstable_members: frozenset[int]
     # Floats whose exact sum is the exact sum of the stable member weights.
-    _expansion: tuple[float, ...] = field(repr=False, compare=False)
+    _expansion: tuple[float, ...] = field(repr=False)
+    stable_sum: float = field(init=False)
+    _ids: frozenset[int] | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "stable_sum", _fsum(self._expansion))
+
+    @property
+    def edge_ids(self) -> frozenset[int]:
+        if self._ids is None:
+            object.__setattr__(self, "_ids", self._base | self._part if self._part else self._base)
+        return self._ids
+
+    def __eq__(self, other):
+        if not isinstance(other, SpanningTree):
+            return NotImplemented
+        return (
+            self.stable_sum == other.stable_sum
+            and self.unstable_members == other.unstable_members
+            and not self._traded(other._base, other._part)
+        )
+
+    def __hash__(self):
+        return hash(self.edge_ids)
+
+    def _traded(self, base: frozenset[int], part: frozenset[int]) -> frozenset[int]:
+        """Ids in this tree or in ``base | part``, not both; O(k) on this tree's base."""
+        if self._base is base:
+            return self._part ^ part
+        return self.edge_ids ^ (base | part)
 
     @classmethod
     def from_edge_ids(
@@ -77,7 +111,7 @@ class SpanningTree:
             g._check_edge(max(ids))
         weight = g._weight
         unstable = ids.intersection(g.unstable_ids)
-        return cls(ids, unstable, _exact_sum([weight[eid] for eid in ids - unstable]))
+        return cls(ids, frozenset(), unstable, _exact_sum([weight[eid] for eid in ids - unstable]))
 
 
 MANDATORY_CYCLE = "mandatory-cycle"
@@ -105,23 +139,16 @@ def constrained_mst_kruskal(
     """
     constraints.validate(g)
     u, v, weight = g._u, g._v, g._weight
-    dsu = DisjointSetUnion(g.n)
-    chosen: list[int] = []
-    for eid in sorted(constraints.mandatory):
-        if not dsu.union(u[eid], v[eid]):
-            return Infeasible(MANDATORY_CYCLE)
-        chosen.append(eid)
-
+    parent = list(range(g.n))
+    mandatory = sorted(constraints.mandatory)
+    chosen = _kruskal(mandatory, u, v, parent, len(mandatory))
+    if len(chosen) != len(mandatory):
+        return Infeasible(MANDATORY_CYCLE)
     skip = constraints.mandatory | constraints.forbidden
-    order = sorted((weight[eid], eid) for eid in range(len(weight)) if eid not in skip)
-    need = g.n - 1
-    for _, eid in order:
-        if len(chosen) == need:
-            break
-        if dsu.union(u[eid], v[eid]):
-            chosen.append(eid)
-
-    if len(chosen) != need:
+    # A stable sort of ascending ids keeps equal weights in id order.
+    order = sorted(filterfalse(skip.__contains__, range(len(weight))), key=weight.__getitem__)
+    chosen += _kruskal(order, u, v, parent, g.n - 1 - len(chosen))
+    if len(chosen) != g.n - 1:
         return Infeasible(FORBIDDEN_DISCONNECTS)
     return SpanningTree.from_edge_ids(g, chosen)
 

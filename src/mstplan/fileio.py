@@ -213,6 +213,8 @@ def graph_fingerprint(g: WeaklyDynamicGraph) -> dict:
 
 
 _PLAN_FORMAT = 3
+# A graph without unstable edges has no plans, and its file no tree.
+_NO_TREE = (frozenset(), frozenset())
 
 
 def plans_to_json(ps: PlanSet, g: WeaklyDynamicGraph) -> str:
@@ -229,12 +231,12 @@ def plans_to_json(ps: PlanSet, g: WeaklyDynamicGraph) -> str:
             "plan set was built at other unstable values than the graph holds"
         )
     _refuse_cover(ps.plans, g.unstable_ids)
-    tree = _minimum_tree(g, values) if g.unstable_ids else frozenset()
+    forced, part = _minimum_tree(g, values) if g.unstable_ids else _NO_TREE
     doc = {
         "version": _PLAN_FORMAT,
         "fingerprint": graph_fingerprint(g),
-        "tree": sorted(tree),
-        "plans": [_encode_plan(ps.plans[eid], tree, values) for eid in sorted(ps.plans)],
+        "tree": sorted(forced | part),
+        "plans": [_encode_plan(ps.plans[eid], forced, part, values) for eid in sorted(ps.plans)],
     }
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
@@ -247,14 +249,18 @@ def _refuse_cover(covered, unstable) -> None:
         )
 
 
-def _encode_plan(plan: EdgePlan, tree: frozenset[int], values: dict) -> dict:
+def _encode_plan(plan: EdgePlan, forced: frozenset, tree: frozenset, values: dict) -> dict:
+    """The record of ``plan``, whose trees must be ``forced | tree`` and a swap of it.
+
+    ``tree`` is a kernel part, so trees of the kernel trade parts, in O(k).
+    """
     eid = plan.edge_id
     in_tree = eid in tree
     own, other = (plan.mst_v, plan.mst_s) if in_tree else (plan.mst_s, plan.mst_v)
-    traded = frozenset() if other is None else other.edge_ids ^ tree
+    traded = frozenset() if other is None else other._traded(forced, tree)
     # The other tree trades the edge for one swap; a bridge has no other tree.
     shaped = in_tree if other is None else len(traded) == 2 and eid in traded
-    if own is None or own.edge_ids != tree or not shaped:
+    if own is None or own._traded(forced, tree) or not shaped:
         raise PlanFormatError(
             f"edge {eid}: plan is not the graph's minimum spanning tree plus one swap"
         )
@@ -308,11 +314,13 @@ def plans_from_json(text: str, g: WeaklyDynamicGraph) -> PlanSet:
         raise PlanFormatError("missing plans array")
 
     ps = precompute_all(g)
-    tree = _minimum_tree(g, ps.snapshot) if g.unstable_ids else frozenset()
+    forced, part = _minimum_tree(g, ps.snapshot) if g.unstable_ids else _NO_TREE
     ids = doc.get("tree")
-    if not (ids == sorted(tree) and all(type(i) is int for i in ids)):
+    if not (ids == sorted(forced | part) and all(type(i) is int for i in ids)):
         raise PlanFormatError(f"tree is not the graph's minimum spanning tree; {_RERUN}")
-    wanted = {eid: _encode_plan(plan, tree, ps.snapshot) for eid, plan in ps.plans.items()}
+    wanted = {
+        eid: _encode_plan(plan, forced, part, ps.snapshot) for eid, plan in ps.plans.items()
+    }
     seen = set()
     for record in records:
         if not isinstance(record, dict):

@@ -218,17 +218,22 @@ class WeaklyDynamicGraph:
     of :class:`Edge` objects built from the columns on first read and kept,
     so repeated reads return the same objects; treat it as read-only, and
     change a weight with :func:`set_unstable_weight`. A graph built from
-    ``edges`` takes its columns from them and keeps none of the objects.
-    Graphs compare by identity.
+    ``edges`` checks each as :func:`build_graph` does, and that every
+    unstable id is an edge id; it takes its columns from them and keeps none
+    of the objects. Graphs compare by identity.
     """
 
     __slots__ = ("n", "unstable_ids", "_u", "_v", "_weight", "_edges", "_kernel")
 
     def __init__(self, n: int, edges: Iterable[Edge], unstable_ids: tuple[int, ...]):
         edges = list(edges)
+        for e in edges:
+            _validate_edge(n, e.u, e.v, e.weight)
         u = [e.u for e in edges]
         v = [e.v for e in edges]
         self._fill(n, u, v, [e.weight for e in edges], unstable_ids, None)
+        for eid in unstable_ids:
+            self._check_edge(eid)
 
     def _fill(self, n, u, v, weight, unstable_ids, kernel) -> None:
         self.n = n

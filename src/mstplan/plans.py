@@ -17,7 +17,9 @@ changes nor copies. It sorts the kernel edges once at those values;
 ``mst_s`` is their Kruskal without the edge (no tree: the edge is a bridge)
 and ``mst_v`` their Kruskal with the edge taken first. One of the two is
 the minimum spanning tree at the vector, and every plan of a build shares
-that tree object.
+that tree object. A tree is the kernel's forced edges, one set every tree
+shares, plus its own part of at most k kernel edges; a new tree costs O(k)
+and copies none of the forced ids.
 
 With several unstable edges, one plan is kept per edge, each computed with
 the *other* unstable edges frozen at their snapshot values. Under the
@@ -137,14 +139,17 @@ def _kernel_order(g: WeaklyDynamicGraph, values: Mapping[int, float]) -> list[in
     return sorted(kernel.ends, key=lambda eid: (weight[eid], eid))
 
 
-def _minimum_tree(g: WeaklyDynamicGraph, values: Mapping[int, float]) -> frozenset[int]:
-    """Edge ids of the graph's minimum spanning tree, unstable edges at ``values``.
+def _minimum_tree(
+    g: WeaklyDynamicGraph, values: Mapping[int, float]
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The graph's minimum spanning tree, unstable edges at ``values``.
 
-    Every plan built at ``values`` holds it, as ``mst_v`` for an edge in it
-    and as ``mst_s`` for an edge outside.
+    It is the kernel's forced edges plus a part of kernel edges, returned
+    as these two sets. Every plan built at ``values`` holds it, as ``mst_v``
+    for an edge in it and as ``mst_s`` for an edge outside.
     """
     kernel = g.kernel()
-    return kernel.forced.union(kernel.spanning(_kernel_order(g, values)))
+    return kernel.forced, frozenset(kernel.spanning(_kernel_order(g, values)))
 
 
 def _build_plans(
@@ -170,13 +175,8 @@ def _build_plans(
     if len(kept) == len(edge_ids):
         return kept
     kernel = g.kernel()
-    # Every tree is ``kernel.forced`` plus kernel edges; key trees by the latter.
-    known = {
-        t.edge_ids.intersection(kernel.ends): t
-        for p in previous.values()
-        for t in (p.mst_s, p.mst_v)
-        if t is not None
-    }
+    # Every tree is ``kernel.forced`` plus its kernel edges; key trees by the latter.
+    known = {t._part: t for p in previous.values() for t in (p.mst_s, p.mst_v) if t is not None}
 
     def tree_of(part: list[int]) -> SpanningTree:
         key = frozenset(part)
@@ -186,7 +186,7 @@ def _build_plans(
             unstable = key.intersection(values)
             stable = tuple(g._weight[eid] for eid in key - unstable)
             known[key] = SpanningTree(
-                kernel.forced | key, unstable, kernel._forced_expansion + stable
+                kernel.forced, key, unstable, kernel._forced_expansion + stable
             )
         return known[key]
 

@@ -299,9 +299,10 @@ def test_verify_custom_grid(tmp_path, capsys):
         (THRESHOLD8_TEXT, ["--halfwidth", "-1"]),
         (THRESHOLD8_TEXT, ["--halfwidth", "nan"]),
         (THRESHOLD8_TEXT, ["--halfwidth", "inf"]),
+        (THRESHOLD8_TEXT, ["--halfwidth", "1e300", "--step", "1e-300"]),  # ratio is inf
     ],
     ids=["bridge-step-0", "step-0", "step-neg", "step-nan", "step-inf",
-         "halfwidth-neg", "halfwidth-nan", "halfwidth-inf"],
+         "halfwidth-neg", "halfwidth-nan", "halfwidth-inf", "ratio-inf"],
 )
 def test_verify_refuses_a_bad_grid_before_any_output(tmp_path, capsys, text, grid):
     graph = write(tmp_path, "g.graph", text)
@@ -309,7 +310,8 @@ def test_verify_refuses_a_bad_grid_before_any_output(tmp_path, capsys, text, gri
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
-        "mstplan: grid step must be finite and > 0, and halfwidth finite and >= 0\n"
+        "mstplan: grid step must be finite and > 0, halfwidth finite and >= 0, "
+        "and halfwidth / step finite\n"
     )
 
 

@@ -830,6 +830,39 @@ def test_random_plan_files_round_trip_and_survive_swap_tampering():
                 plans_from_json(json.dumps(doc), g)
 
 
+def test_plan_files_along_a_change_chain_match_fresh_builds():
+    # A rebuild keeps plans and trees of the previous set; what it writes
+    # must be, byte for byte, what a build from scratch on a freshly parsed
+    # copy of the graph writes. Non-integer weights with ties, parallel
+    # edges and a bridge.
+    rng = random.Random(6060)
+    pool = (0.1, 0.2, 0.3, 0.7, 2.5)
+
+    def draw():
+        return rng.choice(pool) if rng.random() < 0.6 else rng.uniform(-1.0, 3.0)
+
+    n = 30
+    pairs = random_pairs(rng, n, 60)
+    pairs += rng.choices(pairs, k=5)  # parallel edges
+    pairs.append((rng.randrange(n), n))  # a bridge to one more vertex
+    unstable = rng.sample(range(len(pairs) - 1), 5) + [len(pairs) - 1]
+    g = build_graph(
+        n + 1,
+        [
+            (u, v, draw(), "unstable" if i in unstable else "stable")
+            for i, (u, v) in enumerate(pairs)
+        ],
+    )
+    ps = precompute_all(g)
+    for _ in range(50):
+        eid = rng.choice(unstable)
+        cv = ps.plans[eid].cv
+        xs = [draw(), g.weight(rng.randrange(g.num_edges))] + [cv] * math.isfinite(cv)
+        _, ps = apply_change(ps, g, eid, rng.choice(xs))
+        fresh = parse_graph(format_graph(g))
+        assert plans_to_json(ps, g) == plans_to_json(precompute_all(fresh), fresh)
+
+
 # --------------------------------------------------------------------------
 # event streams
 

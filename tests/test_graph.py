@@ -87,6 +87,25 @@ def test_nonfinite_weight_rejected():
             build_graph(2, [(0, 1, bad, "stable")])
 
 
+def test_constructor_refuses_what_build_graph_refuses():
+    # The exact stable sum of a tree with a NaN weight would never end
+    # (NaN != 0.0), so no such graph may be made.
+    good = Edge(1, 1, 0, 1.0, EdgeKind.STABLE)
+    for bad, error in (
+        (Edge(0, 0, 1, math.nan, EdgeKind.STABLE), NonFiniteWeightError),
+        (Edge(0, 0, 1, math.inf, EdgeKind.UNSTABLE), NonFiniteWeightError),
+        (Edge(0, 0, 0, 1.0, EdgeKind.STABLE), SelfLoopError),
+        (Edge(0, 0, 2, 1.0, EdgeKind.STABLE), VertexOutOfRangeError),
+    ):
+        with pytest.raises(error):
+            WeaklyDynamicGraph(2, [bad, good], (1,))
+    for unstable in ((2,), (-1,)):
+        with pytest.raises(UnknownEdgeError):
+            WeaklyDynamicGraph(2, [good, good], unstable)
+    g = WeaklyDynamicGraph(2, [good, good], (1,))
+    assert precompute_all(g).plans[1].cv == 1.0
+
+
 def test_disconnected_rejected():
     with pytest.raises(DisconnectedGraphError):
         build_graph(3, [(0, 1, 1, "stable")])

@@ -617,6 +617,97 @@ def test_rebuilds_build_no_tree_from_all_its_edge_ids(monkeypatch):
     assert plan_sets_equal(ps, reference_plans(g))
 
 
+def test_changes_answers_and_plan_files_build_no_full_edge_id_set(monkeypatch):
+    # A kernel tree is the kernel's forced edges plus its kernel part. At
+    # the change-mix benchmark's size, no rebuild, answer or plan file
+    # needs the union of the two.
+    rng = random.Random(1500)
+    n, extra = 1500, 4500
+    weights = [rng.randint(1, 100_000) for _ in range(n - 1 + extra)]
+    unstable = rng.sample(range(n - 1, n - 1 + extra), 6)  # none is a bridge
+    g = random_graph(rng, n, extra, unstable=unstable, weights=weights)
+
+    def boom(tree):
+        raise AssertionError("a tree built its full edge-id set")
+
+    monkeypatch.setattr(SpanningTree, "edge_ids", property(boom))
+    ps = precompute_all(g)
+    for _ in range(30):
+        eid = rng.choice(unstable)
+        _, ps = apply_change(ps, g, eid, ps.plans[eid].cv + rng.randint(-2000, 1999))
+        for plan in ps.plans.values():
+            assert select_tree(plan, plan.cv - 1.0).chosen is TreeKind.VARIABLE
+            assert select_tree(plan, plan.cv).chosen is TreeKind.STABLE
+    trees = [t for p in ps.plans.values() for t in (p.mst_s, p.mst_v)]
+    assert all(t._base is g.kernel().forced and len(t._part) <= 6 for t in trees)
+    text = plans_to_json(ps, g)
+    monkeypatch.undo()
+    fresh = parse_graph(format_graph(g))
+    assert text == plans_to_json(precompute_all(fresh), fresh)
+
+
+def test_kernel_trees_equal_the_same_trees_built_any_other_way():
+    # Equality and hashing follow the edge ids, whether a tree is the
+    # kernel's forced edges plus a part or one whole id set. Non-integer
+    # weights, ties among them and parallel edges.
+    rng = random.Random(3141)
+    pool = (0.1, 0.2, 0.3, 0.7, 2.5)
+
+    def draw():
+        return rng.choice(pool) if rng.random() < 0.7 else rng.uniform(-1.0, 3.0)
+
+    compared = 0
+    for _ in range(80):
+        n = rng.randint(2, 9)
+        pairs = random_pairs(rng, n, rng.randint(0, 2 * n))
+        pairs += rng.choices(pairs, k=rng.randint(1, 3))  # parallel edges
+        unstable = rng.sample(range(len(pairs)), rng.randint(1, min(4, len(pairs))))
+        g = build_graph(
+            n,
+            [
+                (u, v, draw(), "unstable" if i in unstable else "stable")
+                for i, (u, v) in enumerate(pairs)
+            ],
+        )
+        ps = precompute_all(g)
+        for _ in range(5):
+            kernel_trees = []
+            for eid, plan in ps.plans.items():
+                for tree, constraints in (
+                    (plan.mst_s, Constraints(forbidden={eid})),
+                    (plan.mst_v, Constraints(mandatory={eid})),
+                ):
+                    found = constrained_mst_kruskal(g, constraints)
+                    if tree is None:
+                        assert isinstance(found, Infeasible)
+                        continue
+                    kernel_trees.append(tree)
+                    for other in (SpanningTree.from_edge_ids(g, tree.edge_ids), found):
+                        assert tree == other and other == tree
+                        assert hash(tree) == hash(other)
+                        assert tree.stable_sum == other.stable_sum
+                        assert tree.unstable_members == other.unstable_members
+                        compared += 1
+            for a in kernel_trees:  # one base: the parts decide
+                for b in kernel_trees:
+                    assert (a == b) is (a.edge_ids == b.edge_ids)
+            x = g.weight(rng.randrange(g.num_edges)) if rng.random() < 0.5 else draw()
+            _, ps = apply_change(ps, g, rng.choice(unstable), x)
+    assert compared > 3000
+
+    # Trees of one base with equal sums and members but other parts differ:
+    # on a square of unit edges with a diagonal, {0, 1, 5} and {0, 2, 5}.
+    g = build_graph(4, [
+        (0, 1, 1.0, "stable"), (1, 2, 1.0, "stable"), (2, 3, 1.0, "stable"),
+        (3, 0, 1.0, "stable"), (0, 2, 5.0, "unstable"), (1, 3, 0.5, "unstable"),
+    ])
+    tree = precompute_all(g).plans[5].mst_v
+    assert tree.edge_ids == {0, 1, 5} and tree._base is g.kernel().forced == {0}
+    other = dataclasses.replace(tree, _part=frozenset({2, 5}))
+    assert other == SpanningTree.from_edge_ids(g, {0, 2, 5}) and other != tree
+    assert (other.stable_sum, other.unstable_members) == (tree.stable_sum, tree.unstable_members)
+
+
 def test_quarter_weight_what_ifs_match_a_fresh_kruskal():
     # Multiples of 0.25 are exact in binary, so every total is exact and a
     # what-if must equal a fresh search at the values in force bit for bit.
