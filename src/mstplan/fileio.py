@@ -57,7 +57,7 @@ from .errors import (
 from .graph import (
     EdgeKind,
     WeaklyDynamicGraph,
-    _graph_of,
+    _graph,
     _validate_edge,
     build_graph,
     unstable_values,
@@ -136,7 +136,7 @@ def parse_graph(text: str) -> WeaklyDynamicGraph:
         raise GraphSyntaxError(
             f"header declares {m} edge lines, file has {len(weights)}"
         )
-    return _graph_of(n, us, vs, weights, unstable)
+    return _graph(n, us, vs, weights, unstable)
 
 
 def _edge_fields(fields: list[str], lineno: int, n: int) -> tuple[int, int, float]:

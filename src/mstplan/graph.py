@@ -9,13 +9,12 @@ So a graph is stored as three flat columns indexed by edge id, both
 endpoints and the weight, plus the ids of its unstable edges. Parsing,
 fingerprinting, planning and plan loading read the columns; the
 :class:`Edge` objects of ``edges`` and ``edge(i)`` are a view built from
-them on first use and kept, never one passed in.
+them on first use and kept.
 
 Every minimum spanning tree a graph can have is one fixed set of stable edges
-plus a tree of its small :class:`Kernel`. Parsing and :func:`build_graph`
-build the kernel with the graph, and the build is the graph's connectivity
-check. Only copies share it: a graph made any other way, from another's
-edges too, builds its own.
+plus a tree of its small :class:`Kernel`. A graph comes from parsing or from
+:func:`build_graph`, and each is built with its kernel, whose build is the
+graph's connectivity check. Only copies share a kernel.
 
 Graphs are safe to share read-only across threads; weight replacement needs
 exclusive access. There is no internal locking.
@@ -186,9 +185,7 @@ def _build_kernel(g: "WeaklyDynamicGraph") -> Kernel:
     joined = _kruskal(g.unstable_ids, u, v, parent, n - 1)
     forced = _kruskal(stable, u, v, parent, n - 1 - len(joined))
     if len(joined) + len(forced) < n - 1:
-        raise DisconnectedGraphError(
-            f"graph on {n} vertices is not connected by its full edge set"
-        )
+        raise _disconnected(n)
     parent = list(range(n))
     _kruskal(forced, u, v, parent, len(forced))
     contracted = list(parent)  # a root per component of ``forced``
@@ -217,34 +214,15 @@ class WeaklyDynamicGraph:
     enumerates the edges whose weights are replaceable. ``edges`` is a view
     of :class:`Edge` objects built from the columns on first read and kept,
     so repeated reads return the same objects; treat it as read-only, and
-    change a weight with :func:`set_unstable_weight`. A graph built from
-    ``edges`` checks each as :func:`build_graph` does, and that every
-    unstable id is an edge id; it takes its columns from them and keeps none
-    of the objects. Graphs compare by identity.
+    change a weight with :func:`set_unstable_weight`. Graphs come from
+    :func:`build_graph` or :func:`~mstplan.parse_graph`, each built with its
+    kernel, and from ``copy()``; they compare by identity.
     """
 
     __slots__ = ("n", "unstable_ids", "_u", "_v", "_weight", "_edges", "_kernel")
 
-    def __init__(self, n: int, edges: Iterable[Edge], unstable_ids: tuple[int, ...]):
-        edges = list(edges)
-        for e in edges:
-            _validate_edge(n, e.u, e.v, e.weight)
-        u = [e.u for e in edges]
-        v = [e.v for e in edges]
-        self._fill(n, u, v, [e.weight for e in edges], unstable_ids, None)
-        for eid in unstable_ids:
-            self._check_edge(eid)
-
-    def _fill(self, n, u, v, weight, unstable_ids, kernel) -> None:
-        self.n = n
-        self.unstable_ids = unstable_ids
-        self._kernel = kernel
-        # The columns. Only ``set_unstable_weight`` writes them, and only
-        # ``_weight``, so copies share ``_u`` and ``_v``.
-        self._u: list[int] = u
-        self._v: list[int] = v
-        self._weight: list[float] = weight
-        self._edges: list[Edge] | None = None
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a graph is made by build_graph or parse_graph, not directly")
 
     @property
     def edges(self) -> list[Edge]:
@@ -280,31 +258,38 @@ class WeaklyDynamicGraph:
     def copy(self) -> "WeaklyDynamicGraph":
         """Independent copy; mutating one graph's weights leaves the other alone.
 
-        The copy shares the kernel, building it first if need be, so plans
-        built on either graph are accepted by the other. It builds no
-        ``Edge`` view.
+        The copy shares the kernel, so plans built on either graph are
+        accepted by the other. It builds no ``Edge`` view.
         """
         weight = list(self._weight)
-        return _graph(self.n, self._u, self._v, weight, self.unstable_ids, self.kernel())
+        return _graph(self.n, self._u, self._v, weight, self.unstable_ids, self._kernel)
 
     def kernel(self) -> Kernel:
-        """The graph's :class:`Kernel`; treat as read-only.
-
-        It depends on no unstable value, so it is built once, with the
-        graph or on first use, and kept for the life of the graph and its
-        copies. Building it raises DisconnectedGraphError for a graph that
-        is not connected.
-        """
-        if self._kernel is None:
-            self._kernel = _build_kernel(self)
+        """The graph's :class:`Kernel`, built with it and shared by its copies; read-only."""
         return self._kernel
 
 
 def _graph(n, u, v, weight, unstable_ids, kernel=None) -> WeaklyDynamicGraph:
-    """The graph of these columns, unchecked, sharing ``kernel`` if one is given."""
+    """The graph of validated edge columns, sharing ``kernel`` if one is given.
+
+    Otherwise it builds its kernel, which raises DisconnectedGraphError for
+    a graph that is not connected. Fewer than ``n - 1`` edges cannot connect
+    it, and are refused before anything of size ``n`` is built.
+    """
+    if kernel is None and len(weight) < n - 1:
+        raise _disconnected(n)
     g = object.__new__(WeaklyDynamicGraph)
-    g._fill(n, u, v, weight, unstable_ids, kernel)
+    g.n = n
+    g.unstable_ids = tuple(unstable_ids)
+    # The columns. Only ``set_unstable_weight`` writes them, and only
+    # ``_weight``, so copies share ``_u`` and ``_v``.
+    g._u, g._v, g._weight, g._edges = u, v, weight, None
+    g._kernel = kernel if kernel is not None else _build_kernel(g)
     return g
+
+
+def _disconnected(n: int) -> DisconnectedGraphError:
+    return DisconnectedGraphError(f"graph on {n} vertices is not connected by its full edge set")
 
 
 def _coerce_kind(kind) -> EdgeKind:
@@ -341,16 +326,7 @@ def build_graph(
         us.append(u)
         vs.append(v)
         weights.append(float(weight))
-    return _graph_of(n, us, vs, weights, unstable)
-
-
-def _graph_of(
-    n: int, u: list[int], v: list[int], weight: list[float], unstable: list[int]
-) -> WeaklyDynamicGraph:
-    """The graph of validated edge columns, with its kernel; it must be connected."""
-    g = _graph(n, u, v, weight, tuple(unstable))
-    g.kernel()  # raises DisconnectedGraphError for a graph that is not connected
-    return g
+    return _graph(n, us, vs, weights, unstable)
 
 
 def _validate_edge(n: int, u: int, v: int, weight: float) -> None:

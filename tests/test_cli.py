@@ -7,7 +7,8 @@ import pytest
 from helpers import BRIDGE_TEXT, M3_TEXT, THRESHOLD8_TEXT, TRIANGLE_TEXT
 
 import mstplan.graph
-from mstplan import Selection, parse_graph
+import mstplan.oracle
+from mstplan import Selection, brute_critical_value, format_value, parse_graph
 from mstplan.cli import main
 
 
@@ -266,12 +267,25 @@ def test_verify_bridge_probes_two_points(tmp_path, capsys):
     assert "x=0 " in out and "x=1000000 " in out
 
 
-def test_verify_multiple_edges(tmp_path, capsys):
+def test_verify_multiple_edges(tmp_path, capsys, monkeypatch):
+    # One tree catalog serves every edge's critical value and grid.
+    enumerated = []
+    enumerate_trees = mstplan.oracle.enumerate_spanning_trees
+
+    def counted(g):
+        enumerated.append(g)
+        return enumerate_trees(g)
+
+    monkeypatch.setattr("mstplan.cli.enumerate_spanning_trees", counted)
+    monkeypatch.setattr("mstplan.oracle.enumerate_spanning_trees", counted)
     graph = write(tmp_path, "m.graph", M3_TEXT)
     assert main(["verify", graph]) == 0
+    assert len(enumerated) == 1
     out = capsys.readouterr().out
+    g = parse_graph(M3_TEXT)
     for eid in (4, 5, 6):
         assert f"edge {eid}" in out
+        assert f"oracle={format_value(brute_critical_value(g, eid))} OK" in out
 
 
 def test_verify_equal_weights_compare_totals_only(tmp_path, capsys):

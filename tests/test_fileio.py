@@ -19,6 +19,7 @@ from helpers import (
 )
 
 from mstplan import (
+    DisconnectedGraphError,
     EdgeKind,
     Error,
     EventSyntaxError,
@@ -30,7 +31,6 @@ from mstplan import (
     SelfLoopError,
     SpanningTree,
     VertexOutOfRangeError,
-    WeaklyDynamicGraph,
     format_events,
     format_graph,
     format_value,
@@ -203,16 +203,19 @@ def test_fingerprint_tracks_content(triangle):
 
 
 def _edited(g, edges):
-    """``g`` with the edges at the given ids replaced, unchecked."""
-    new = list(g.edges)
+    """``g`` with the edges at the given ids replaced; None if they disconnect it."""
+    specs = [(e.u, e.v, e.weight, e.kind) for e in g.edges]
     for i, e in edges.items():
-        new[i] = dataclasses.replace(e, id=i)
-    unstable = tuple(e.id for e in new if e.kind is EdgeKind.UNSTABLE)
-    return WeaklyDynamicGraph(g.n, new, unstable)
+        specs[i] = (e.u, e.v, e.weight, e.kind)
+    try:
+        return build_graph(g.n, specs)
+    except DisconnectedGraphError:
+        return None
 
 
 def test_fingerprint_agrees_across_paths_and_tracks_every_field(tmp_path):
     rng = random.Random(4242)
+    moved = 0  # graphs with one endpoint moved that stay connected
     draws = (
         lambda: rng.choice((0.0, -0.0, 1.0, -1.0, 2.0)),
         lambda: rng.uniform(-5.0, 5.0),
@@ -246,25 +249,28 @@ def test_fingerprint_agrees_across_paths_and_tracks_every_field(tmp_path):
         set_unstable_weight(g, eid, x)
         assert graph_fingerprint(g) == fp
 
-        # One field of one edge, n, or the order of two edges changes.
+        # One field of one edge, or the order of two edges, changes. A moved
+        # endpoint can disconnect the graph, and no such graph can be made.
         i = rng.randrange(g.num_edges)
         e = g.edge(i)
         flipped = EdgeKind.STABLE if e.kind is EdgeKind.UNSTABLE else EdgeKind.UNSTABLE
         changed = [
-            WeaklyDynamicGraph(n + 1, g.edges, g.unstable_ids),
             _edited(g, {i: dataclasses.replace(e, u=e.v, v=e.u)}),
             _edited(g, {i: dataclasses.replace(e, weight=math.nextafter(e.weight, 9.0))}),
             _edited(g, {i: dataclasses.replace(e, kind=flipped)}),
         ]
         for end in range(n):
             if end not in (e.u, e.v):
-                changed.append(_edited(g, {i: dataclasses.replace(e, u=end)}))
-                changed.append(_edited(g, {i: dataclasses.replace(e, v=end)}))
+                for end_moved in (dataclasses.replace(e, u=end), dataclasses.replace(e, v=end)):
+                    changed.append(_edited(g, {i: end_moved}))
+                    moved += changed[-1] is not None
         for f in g.edges:
             if (f.u, f.v, f.weight + 0.0, f.kind) != (e.u, e.v, e.weight + 0.0, e.kind):
                 changed.append(_edited(g, {i: f, f.id: e}))
         for other in changed:
-            assert graph_fingerprint(other) != fp
+            if other is not None:
+                assert graph_fingerprint(other) != fp
+    assert moved > 500
 
 
 def test_fingerprint_hashes_little_endian_fields(triangle):

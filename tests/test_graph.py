@@ -87,23 +87,13 @@ def test_nonfinite_weight_rejected():
             build_graph(2, [(0, 1, bad, "stable")])
 
 
-def test_constructor_refuses_what_build_graph_refuses():
-    # The exact stable sum of a tree with a NaN weight would never end
-    # (NaN != 0.0), so no such graph may be made.
+def test_a_graph_is_not_made_directly():
+    # build_graph, parse_graph and copy() are the only ways to make a graph,
+    # so every graph is checked and holds its kernel from birth.
     good = Edge(1, 1, 0, 1.0, EdgeKind.STABLE)
-    for bad, error in (
-        (Edge(0, 0, 1, math.nan, EdgeKind.STABLE), NonFiniteWeightError),
-        (Edge(0, 0, 1, math.inf, EdgeKind.UNSTABLE), NonFiniteWeightError),
-        (Edge(0, 0, 0, 1.0, EdgeKind.STABLE), SelfLoopError),
-        (Edge(0, 0, 2, 1.0, EdgeKind.STABLE), VertexOutOfRangeError),
-    ):
-        with pytest.raises(error):
-            WeaklyDynamicGraph(2, [bad, good], (1,))
-    for unstable in ((2,), (-1,)):
-        with pytest.raises(UnknownEdgeError):
-            WeaklyDynamicGraph(2, [good, good], unstable)
-    g = WeaklyDynamicGraph(2, [good, good], (1,))
-    assert precompute_all(g).plans[1].cv == 1.0
+    for args in ((2, [good, good], (1,)), (-3, [], ()), ()):
+        with pytest.raises(TypeError, match="build_graph or parse_graph"):
+            WeaklyDynamicGraph(*args)
 
 
 def test_disconnected_rejected():
@@ -111,6 +101,28 @@ def test_disconnected_rejected():
         build_graph(3, [(0, 1, 1, "stable")])
     with pytest.raises(Error):
         build_graph(0, [])
+
+
+def test_too_few_edges_to_connect_are_refused_before_the_kernel(monkeypatch):
+    # Two edges on four vertices, or four that leave vertex 3 out: one message.
+    e01, e12 = (0, 1, 1, "stable"), (1, 2, 1, "stable")
+    for specs in ([e01] * 2, [e01, e01, e12, e12]):
+        with pytest.raises(DisconnectedGraphError) as info:
+            build_graph(4, specs)
+        assert str(info.value) == "graph on 4 vertices is not connected by its full edge set"
+    assert build_graph(1, []).kernel().supers == 1
+
+    # A header of 10**9 vertices must not build lists of that size.
+    def boom(g):
+        raise AssertionError("a kernel build ran for too few edges")
+
+    monkeypatch.setattr("mstplan.graph._build_kernel", boom)
+    for make in (lambda: parse_graph("p wdg 1000000000 0\n"), lambda: build_graph(10**9, [])):
+        with pytest.raises(DisconnectedGraphError) as info:
+            make()
+        assert str(info.value) == (
+            "graph on 1000000000 vertices is not connected by its full edge set"
+        )
 
 
 def test_unknown_edge_lookup(triangle):
@@ -276,11 +288,13 @@ def test_every_way_to_make_a_graph_stores_the_same_graph():
         unstable = tuple(i for i, spec in enumerate(specs) if spec[3] == "unstable")
         kinds = {"stable": EdgeKind.STABLE, "unstable": EdgeKind.UNSTABLE}
         passed = [Edge(i, u, v, float(w), kinds[k]) for i, (u, v, w, k) in enumerate(specs)]
-        direct = WeaklyDynamicGraph(n, passed, unstable)
-        assert direct._edges is None  # it keeps none of the passed objects
-        rebuilt = WeaklyDynamicGraph(n, parsed.edges, parsed.unstable_ids)
-        for g in (built, parsed, direct, rebuilt):
+        rebuilt = build_graph(n, [(e.u, e.v, e.weight, e.kind) for e in parsed.edges])
+        copied = built.copy()
+        assert rebuilt._edges is None and copied._edges is None
+        assert copied.kernel() is built.kernel()  # only a copy shares the kernel
+        for g in (built, parsed, rebuilt, copied):
             assert g.n == n and g.unstable_ids == unstable
+            assert g._kernel is not None and g.kernel().forced == built.kernel().forced
             assert unstable_values(g) == unstable_values(built)
             assert graph_fingerprint(g) == graph_fingerprint(built)
             assert _columns(g) == [(u, v, w) for u, v, w, _ in specs]

@@ -37,3 +37,17 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])
 def test_no_module_imports_a_name_it_never_uses(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def test_public_names_are_the_sorted_imports_of_the_package():
+    import mstplan
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert mstplan.__all__ == sorted(set(mstplan.__all__))
+    assert set(mstplan.__all__) == imported
