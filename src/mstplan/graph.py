@@ -320,24 +320,33 @@ def build_graph(
     unstable: list[int] = []
     for u, v, weight, kind in edge_specs:
         kind = _coerce_kind(kind)
-        _validate_edge(n, u, v, weight)
+        weight = _validate_edge(n, u, v, weight)
         if kind is EdgeKind.UNSTABLE:
             unstable.append(len(weights))
         us.append(u)
         vs.append(v)
-        weights.append(float(weight))
+        weights.append(weight)
     return _graph(n, us, vs, weights, unstable)
 
 
-def _validate_edge(n: int, u: int, v: int, weight: float) -> None:
+def _validate_edge(n: int, u: int, v: int, weight: float) -> float:
     if not (isinstance(u, int) and isinstance(v, int)):
         raise VertexOutOfRangeError(f"endpoints must be integers, got ({u!r}, {v!r})")
     if not (0 <= u < n and 0 <= v < n):
         raise VertexOutOfRangeError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
     if u == v:
         raise SelfLoopError(f"self-loop at vertex {u}")
-    if not math.isfinite(weight):
-        raise NonFiniteWeightError(f"edge ({u}, {v}) has non-finite weight {weight!r}")
+    return _finite(weight, f"weight of edge ({u}, {v})")
+
+
+def _finite(value: float, what: str) -> float:
+    """``float(value)``; NonFiniteWeightError naming ``what`` if no finite float holds it."""
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int past the largest float
+        raise NonFiniteWeightError(f"{what} is past the float range") from None
+    raise NonFiniteWeightError(f"{what} is not finite: {value!r}")
 
 
 def is_connected(g: WeaklyDynamicGraph, excluded: frozenset[int] | set[int]) -> bool:
@@ -358,9 +367,7 @@ def set_unstable_weight(
     """
     if not g._is_unstable(edge_id):
         raise NotUnstableError(f"edge {edge_id} is stable; its weight is immutable")
-    if not math.isfinite(new_x):
-        raise NonFiniteWeightError(f"new value for edge {edge_id} is not finite: {new_x!r}")
-    new_x = float(new_x)
+    new_x = _finite(new_x, f"new value for edge {edge_id}")
     g._weight[edge_id] = new_x
     if g._edges is not None:
         g._edges[edge_id] = replace(g._edges[edge_id], weight=new_x)

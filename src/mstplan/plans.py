@@ -13,13 +13,13 @@ at any values, a minimum spanning tree under the ``(weight, id)`` order is
 the kernel's fixed stable edges plus a Kruskal over at most 2k kernel edges
 between at most k + 1 super-vertices. A build is given a vector of unstable
 values and reads them from it, never from the graph, which it neither
-changes nor copies. It sorts the kernel edges once at those values;
-``mst_s`` is their Kruskal without the edge (no tree: the edge is a bridge)
-and ``mst_v`` their Kruskal with the edge taken first. One of the two is
-the minimum spanning tree at the vector, and every plan of a build shares
-that tree object. A tree is the kernel's forced edges, one set every tree
-shares, plus its own part of at most k kernel edges; a new tree costs O(k)
-and copies none of the forced ids.
+changes nor copies. It finds the minimum spanning tree at the vector with
+one Kruskal, and every plan it builds holds that tree object: as ``mst_v``
+for an edge in it, as ``mst_s`` for one outside. The other tree is one swap
+of it (Tarjan, IPL 1982), found by one more Kruskal: over the kernel edges
+but the plan's edge (none: the edge is a bridge), or over the edge and the
+tree's kernel edges. A tree is the kernel's forced edges, which every tree
+shares, plus its own at most k kernel edges, so it costs O(k).
 
 With several unstable edges, one plan is kept per edge, each computed with
 the *other* unstable edges frozen at their snapshot values. Under the
@@ -52,6 +52,7 @@ from .errors import (
 from .graph import (
     Kernel,
     WeaklyDynamicGraph,
+    _finite,
     set_unstable_weight,
     unstable_values,
 )
@@ -117,26 +118,15 @@ _STABLE = TreeKind.STABLE
 _new_tuple = tuple.__new__
 
 
-def _plan(
-    eid: int, mst_s: SpanningTree | None, mst_v: SpanningTree, values: Mapping[int, float]
-) -> EdgePlan:
-    """The plan of ``eid`` with trees ``mst_s`` and ``mst_v``, totalled at ``values``."""
-    d_s = math.inf if mst_s is None else _total_at(mst_s, values)
-    s_v = _total_at(mst_v, values, exclude=eid)
-    others = {k: v for k, v in values.items() if k != eid}
-    return EdgePlan(eid, mst_s, d_s, mst_v, s_v, d_s - s_v, others)
-
-
 def _kernel_order(g: WeaklyDynamicGraph, values: Mapping[int, float]) -> list[int]:
     """The kernel's edges in ``(weight, id)`` order, unstable ones at ``values``.
 
     It is the tie rule of every tree a plan holds, and of the graph's
     minimum spanning tree.
     """
-    kernel = g.kernel()
-    weight = {eid: g._weight[eid] for eid in kernel.stable}
-    weight.update(values)
-    return sorted(kernel.ends, key=lambda eid: (weight[eid], eid))
+    pairs = [(g._weight[eid], eid) for eid in g.kernel().stable]
+    pairs += [(x, eid) for eid, x in values.items()]
+    return [eid for _, eid in sorted(pairs)]
 
 
 def _minimum_tree(
@@ -145,11 +135,24 @@ def _minimum_tree(
     """The graph's minimum spanning tree, unstable edges at ``values``.
 
     It is the kernel's forced edges plus a part of kernel edges, returned
-    as these two sets. Every plan built at ``values`` holds it, as ``mst_v``
-    for an edge in it and as ``mst_s`` for an edge outside.
+    as these two sets; every plan built at ``values`` holds it.
     """
     kernel = g.kernel()
     return kernel.forced, frozenset(kernel.spanning(_kernel_order(g, values)))
+
+
+def _kernel_tree(g: WeaklyDynamicGraph, part: list[int], known: dict) -> SpanningTree:
+    """The kernel's forced edges plus ``part``; the tree in ``known``, by part, if there."""
+    key = frozenset(part)
+    tree = known.get(key)
+    if tree is None:
+        # The stable sum is the forced edges' exact sum plus the at most
+        # k stable kernel weights: no pass over the tree's n - 1 edges.
+        kernel = g.kernel()
+        unstable = key.intersection(g.unstable_ids)
+        stable = kernel._forced_expansion + tuple(g._weight[f] for f in key - unstable)
+        tree = known[key] = SpanningTree(kernel.forced, key, unstable, stable)
+    return tree
 
 
 def _build_plans(
@@ -160,47 +163,41 @@ def _build_plans(
 ) -> dict[int, EdgePlan]:
     """Plans for ``edge_ids`` at ``values``, a float per unstable id in ascending order.
 
+    The first plan to build finds the minimum tree at ``values`` and its
+    total; each plan's other tree is one more Kruskal, which for an edge
+    outside the tree drops the heaviest edge of the cycle the edge closes.
+
     ``g``'s own unstable weights are neither read nor changed. A plan is a
     function of the values it froze, so a ``previous`` plan that froze the
     same ones is kept as it is; a tree whose edge set comes up again is kept
     too, as its cached stable sum depends on no value. ``previous`` must
     come from this graph's kernel.
     """
-    kept = {
-        eid: previous[eid]
-        for eid in edge_ids
-        if eid in previous
-        and previous[eid].frozen_others == {k: v for k, v in values.items() if k != eid}
-    }
-    if len(kept) == len(edge_ids):
-        return kept
     kernel = g.kernel()
-    # Every tree is ``kernel.forced`` plus its kernel edges; key trees by the latter.
-    known = {t._part: t for p in previous.values() for t in (p.mst_s, p.mst_v) if t is not None}
-
-    def tree_of(part: list[int]) -> SpanningTree:
-        key = frozenset(part)
-        if key not in known:
-            # The stable sum is the forced edges' exact sum plus the at most
-            # k stable kernel weights: no pass over the tree's n - 1 edges.
-            unstable = key.intersection(values)
-            stable = tuple(g._weight[eid] for eid in key - unstable)
-            known[key] = SpanningTree(
-                kernel.forced, key, unstable, kernel._forced_expansion + stable
-            )
-        return known[key]
-
-    order = _kernel_order(g, values)
     plans = {}
+    tree = None
     for eid in edge_ids:
-        if eid in kept:
-            plans[eid] = kept[eid]
+        others = dict(values)
+        del others[eid]
+        plan = previous.get(eid)
+        if plan is not None and plan.frozen_others == others:
+            plans[eid] = plan
             continue
-        rest = [f for f in order if f != eid]
-        avoiding = kernel.spanning(rest)
-        mst_s = None if avoiding is None else tree_of(avoiding)
-        mst_v = tree_of(kernel.spanning([eid, *rest]))
-        plans[eid] = _plan(eid, mst_s, mst_v, values)
+        if tree is None:
+            known = {t._part: t for p in previous.values() for t in (p.mst_s, p.mst_v) if t}
+            order = _kernel_order(g, values)
+            taken = kernel.spanning(order)
+            tree = _kernel_tree(g, taken, known)
+            total = _total_at(tree, values)
+        if eid in tree._part:
+            avoiding = kernel.spanning([f for f in order if f != eid])
+            mst_s = None if avoiding is None else _kernel_tree(g, avoiding, known)
+            mst_v, d_s = tree, math.inf if mst_s is None else _total_at(mst_s, values)
+        else:
+            mst_s, d_s = tree, total
+            mst_v = _kernel_tree(g, kernel.spanning([eid, *taken]), known)
+        s_v = _total_at(mst_v, values, exclude=eid)
+        plans[eid] = EdgePlan(eid, mst_s, d_s, mst_v, s_v, d_s - s_v, others)
     return plans
 
 
@@ -222,10 +219,9 @@ def precompute_plan(
             f"frozen values must cover exactly edges {sorted(expected)}, "
             f"got {sorted(frozen)}"
         )
+    values = {eid: g._weight[eid] for eid in g.unstable_ids}
     for eid, value in frozen.items():
-        if not math.isfinite(value):
-            raise NonFiniteWeightError(f"frozen value for edge {eid} is not finite: {value!r}")
-    values = {eid: float(frozen.get(eid, g._weight[eid])) for eid in g.unstable_ids}
+        values[eid] = _finite(value, f"frozen value for edge {eid}")
     return _build_plans(g, values, [edge_id], {})[edge_id]
 
 
@@ -237,7 +233,8 @@ def select_tree(plan: EdgePlan, x: float) -> Selection:
     are correctly rounded sums of their trees' weights, whatever the order
     of the edges; ``s_v + x`` is one more rounding. The decision is
     ``x < cv``, so within a rounding of ``cv`` the tree chosen can report a
-    total that rounding above the other tree's.
+    total that rounding above the other tree's. An int past the float range
+    raises ``OverflowError`` where the total is ``s_v + x``.
     """
     if x - x != 0.0:  # 0.0 only for finite x; NaN and both infinities fail
         raise NonFiniteWeightError(f"query value must be finite, got {x!r}")
@@ -252,7 +249,7 @@ def select_tree(plan: EdgePlan, x: float) -> Selection:
 
 
 def precompute_all(g: WeaklyDynamicGraph) -> PlanSet:
-    """One plan per unstable edge, each tree one Kruskal over the graph's kernel."""
+    """One plan per unstable edge: the kernel's minimum tree and one swap of it per edge."""
     values = unstable_values(g)
     return PlanSet(_build_plans(g, values, g.unstable_ids, {}), values, g.kernel())
 
@@ -269,9 +266,9 @@ def apply_change(
     the graph's kernel at the new values, keeping the plans and trees that
     did not move, so the next change is answered just as fast. Only then is
     the new value set in the graph, its one change: misuse, such as a
-    non-finite ``new_x``, and a rebuild that raises, such as one whose tree
-    total overflows (``NonFiniteWeightError``), leave the graph as it was,
-    with nothing to restore.
+    ``new_x`` that no finite float holds, and a rebuild that raises, such as
+    one whose tree total overflows (``NonFiniteWeightError``), leave the
+    graph as it was, with nothing to restore.
     """
     if not g._is_unstable(edge_id):
         raise NotUnstableError(f"edge {edge_id} is stable; it cannot change")
@@ -290,8 +287,9 @@ def apply_change(
             "plan set was not built on this graph or a copy of it; "
             "rebuild it with precompute_all"
         )
+    new_x = _finite(new_x, f"new value for edge {edge_id}")
     immediate = select_tree(plan, new_x)
-    values = {**current, edge_id: float(new_x)}
+    values = {**current, edge_id: new_x}
     plans = _build_plans(g, values, g.unstable_ids, ps.plans)
     set_unstable_weight(g, edge_id, new_x)
     return immediate, PlanSet(plans, values, g.kernel())

@@ -10,7 +10,6 @@ from mstplan import (
     FORBIDDEN_DISCONNECTS,
     MANDATORY_CYCLE,
     Constraints,
-    EdgeKind,
     Infeasible,
     InvalidConstraintsError,
     SpanningTree,

@@ -52,6 +52,7 @@ from mstplan import (
     unstable_values,
     write_plans,
 )
+from mstplan.graph import Kernel
 
 
 def test_fixture_plan_values(threshold8):
@@ -255,6 +256,75 @@ def test_apply_change_validation(triangle):
     empty = PlanSet(plans={}, snapshot={})
     with pytest.raises(Error):
         apply_change(empty, triangle, 2, 2.0)
+
+
+def test_numbers_no_float_holds_are_refused(multi3):
+    # An int past the float range is an mstplan error, not the OverflowError
+    # of float(), and nothing is changed by the call that raised it.
+    for huge in (10**400, -(10**400)):
+        with pytest.raises(NonFiniteWeightError, match="float range"):
+            build_graph(2, [(0, 1, huge, "stable")])
+        ps = precompute_all(multi3)
+        before = (format_graph(multi3), unstable_values(multi3))
+        with pytest.raises(NonFiniteWeightError, match="float range"):
+            set_unstable_weight(multi3, 4, huge)
+        with pytest.raises(NonFiniteWeightError, match="float range"):
+            apply_change(ps, multi3, 4, huge)
+        with pytest.raises(NonFiniteWeightError, match="float range"):
+            precompute_plan(multi3, 4, {5: huge, 6: 1.0})
+        assert (format_graph(multi3), unstable_values(multi3)) == before
+        assert ps == precompute_all(multi3)
+
+
+def test_a_rebuild_runs_one_kruskal_per_rebuilt_plan_and_one_for_the_tree(monkeypatch):
+    rng = random.Random(1982)
+    unstable = rng.sample(range(29 + 60), 5)
+    g = random_graph(rng, 30, 60, unstable=unstable)
+    calls = []
+    spanning = Kernel.spanning
+
+    def counted(kernel, order):
+        calls.append(order)
+        return spanning(kernel, order)
+
+    monkeypatch.setattr(Kernel, "spanning", counted)
+    ps = precompute_all(g)
+    assert len(calls) == len(unstable) + 1
+    calls.clear()
+    _, ps = apply_change(ps, g, unstable[0], g.weight(unstable[0]) + 0.5)
+    assert len(calls) == len(unstable)  # k - 1 rebuilt plans and the tree
+    calls.clear()
+    _, ps = apply_change(ps, g, unstable[1], g.weight(unstable[1]))
+    assert calls == []
+    monkeypatch.undo()
+    assert plan_sets_equal(ps, reference_plans(g))
+
+
+@pytest.mark.parametrize("edge_first", [True, False])
+def test_a_change_to_the_threshold_plans_from_the_id_ordered_tree(edge_first):
+    # At x == cv the changed edge ties with its swap. select_tree answers
+    # with the stable tree, but the plans hold the (weight, id) Kruskal's,
+    # which takes the edge when its id is the lower.
+    tie = [(0, 2, 10, "unstable")]
+    rest = [(0, 1, 1, "stable"), (1, 2, 5, "stable"), (2, 3, 2, "stable")]
+    other = [(1, 3, 7, "unstable")]
+    specs = tie + rest + other if edge_first else rest + tie + other
+    eid = 0 if edge_first else 3
+    g = build_graph(4, specs)
+    ps = precompute_all(g)
+    cv = ps.plans[eid].cv
+    assert cv == 5.0
+    _, rebuilt = apply_change(ps, g, eid, cv)
+    forced, part = plans_module._minimum_tree(g, rebuilt.snapshot)
+    tree = constrained_mst_kruskal(g).edge_ids
+    assert forced | part == tree
+    assert (eid in tree) is edge_first
+    for plan in rebuilt.plans.values():
+        own = plan.mst_v if plan.edge_id in tree else plan.mst_s
+        assert own.edge_ids == tree
+    specs[eid] = (*specs[eid][:2], cv, "unstable")
+    fresh = build_graph(4, specs)
+    assert plans_to_json(rebuilt, g) == plans_to_json(precompute_all(fresh), fresh)
 
 
 def test_apply_change_refuses_a_stale_plan_set(multi3):

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mstplan"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mstplan"
 # ``__init__.py`` imports names to re-export them.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = MODULES + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,7 +36,7 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["line 3: j", "line 4: n"]
 
 
-@pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("module", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_module_imports_a_name_it_never_uses(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
 
