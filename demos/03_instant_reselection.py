@@ -3,8 +3,9 @@
 With several unstable edges there is one plan per edge, each computed with
 the other unstable edges pinned at their last-known values. When a change
 arrives, the stored plan answers it immediately (the change invalidates
-nothing, because only one value moved); the plans are then rebuilt in the
-background time budget so the next change is answered just as fast.
+nothing, because only one value moved); that plan is kept and the others,
+which pinned the old value, are rebuilt in the background time budget so
+the next change is answered just as fast.
 
 The second half times the answer path against recomputing a minimum
 spanning tree from scratch on a mid-sized graph.

@@ -35,6 +35,8 @@ from .graph import set_unstable_weight
 from .oracle import _critical_value, brute_constrained_min, enumerate_spanning_trees
 from .plans import apply_change, precompute_all, select_tree
 
+_MAX_STEPS = 1000  # the most grid steps ``verify`` takes on each side of a threshold
+
 
 class _UsageError(Exception):
     pass
@@ -245,10 +247,10 @@ def cmd_verify(args) -> int:
     # Chained comparisons are False for NaN, so NaN is refused too. The
     # ratio is read only once the step is known to be positive.
     step, halfwidth = args.step, args.halfwidth
-    if not (0 < step < math.inf and 0 <= halfwidth < math.inf and halfwidth / step < math.inf):
+    if not (0 < step < math.inf and 0 <= halfwidth < math.inf and halfwidth / step <= _MAX_STEPS):
         raise Error(
             "grid step must be finite and > 0, halfwidth finite and >= 0, "
-            "and halfwidth / step finite"
+            f"and halfwidth / step at most {_MAX_STEPS}"
         )
     g = parse_graph(_read_text(args.graph))
     ps = precompute_all(g)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import marshal
 import math
 import random
 import struct
@@ -280,25 +281,30 @@ def _encode_plan(plan: EdgePlan, forced: frozenset, tree: frozenset, values: dic
 _RERUN = "re-run `mstplan precompute`"
 
 
+def _canon(value) -> bytes:
+    """Equal bytes for equal JSON values of equal types (marshal 2 has no back-references)."""
+    return marshal.dumps(sorted(value.items()) if type(value) is dict else value, 2)
+
+
 def plans_from_json(text: str, g: WeaklyDynamicGraph) -> PlanSet:
     """Load a plan set, refusing files computed from a different graph.
 
     Beyond the format version and the fingerprint guard, the plans are built
     with :func:`precompute_all` and the file is checked against them: its
-    tree and each record must be what :func:`plans_to_json` writes for the
-    built set, JSON types included. So a tampered file is refused, even when
-    its fingerprint was patched up, and so is one whose trees are not
-    minimum. The error names the tree, or the first record field that
-    differs. The built set is returned, sharing ``g``'s kernel.
+    keys, tree and each record must be what :func:`plans_to_json` writes
+    for the built set, JSON types included. So a tampered file is refused,
+    even when its fingerprint was patched up, and so is one whose trees are
+    not minimum. The error names the key, the tree, or the first record
+    field that differs. The built set is returned, sharing ``g``'s kernel.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:  # too deeply nested for json
         raise PlanFormatError(f"not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise PlanFormatError("top level must be a JSON object")
     version = doc.get("version")
-    if version != _PLAN_FORMAT:
+    if _canon(version) != _canon(_PLAN_FORMAT):
         found = "no format version" if version is None else f"format version {version!r}"
         raise PlanFormatError(f"plan file has {found}, not {_PLAN_FORMAT}; {_RERUN}")
     fingerprint = doc.get("fingerprint")
@@ -309,14 +315,16 @@ def plans_from_json(text: str, g: WeaklyDynamicGraph) -> PlanSet:
         raise FingerprintMismatchError(
             f"plan file fingerprint {fingerprint} does not match graph {expected}"
         )
+    for key in sorted(doc.keys() - {"plans", "tree", "version"}):
+        if key != "fingerprint" or _canon(fingerprint) != _canon(expected):
+            raise PlanFormatError(f"plan file key {key!r} is not what the writer writes; {_RERUN}")
     records = doc.get("plans")
     if not isinstance(records, list):
         raise PlanFormatError("missing plans array")
 
     ps = precompute_all(g)
     forced, part = _minimum_tree(g, ps.snapshot) if g.unstable_ids else _NO_TREE
-    ids = doc.get("tree")
-    if not (ids == sorted(forced | part) and all(type(i) is int for i in ids)):
+    if _canon(doc.get("tree")) != _canon(sorted(forced | part)):
         raise PlanFormatError(f"tree is not the graph's minimum spanning tree; {_RERUN}")
     wanted = {
         eid: _encode_plan(plan, forced, part, ps.snapshot) for eid, plan in ps.plans.items()
@@ -331,13 +339,12 @@ def plans_from_json(text: str, g: WeaklyDynamicGraph) -> PlanSet:
         if eid in seen:
             raise PlanFormatError(f"duplicate plan for edge {eid}")
         seen.add(eid)
-        for key, value in wanted[eid].items():
-            # Compare types too: ``True == 1`` and ``1.0 == 1`` in Python.
-            found = record.get(key)
-            if key not in record or type(found) is not type(value) or found != value:
-                stated = repr(found) if key in record else "missing"
+        want = wanted[eid]
+        for key in {**want, **record}:
+            if key not in record or key not in want or _canon(record[key]) != _canon(want[key]):
+                found, value = (repr(d[key]) if key in d else "missing" for d in (record, want))
                 raise PlanFormatError(
-                    f"edge {eid}: {key} is {stated} in the file, but {value!r} in the "
+                    f"edge {eid}: {key} is {found} in the file, but {value} in the "
                     f"plans built from the graph; {_RERUN}"
                 )
     _refuse_cover(seen, wanted)

@@ -24,9 +24,9 @@ shares, plus its own at most k kernel edges, so it costs O(k).
 With several unstable edges, one plan is kept per edge, each computed with
 the *other* unstable edges frozen at their snapshot values. Under the
 one-change-at-a-time contract the plan for the changed edge is exact at the
-moment of the change; all plans are then rebuilt at the new vector so the
-next change is exact too. They all freeze one snapshot, so a rebuild touches
-no edge outside the kernel.
+moment of the change and after it, so a change keeps it and rebuilds the
+others at the new vector, and one whose value did not move keeps all. They
+all freeze one snapshot, so a rebuild touches no edge outside the kernel.
 
 Plans and plan sets are immutable once built. Selection is read-only and may
 run concurrently with a rebuild as long as the rebuilt plan set is published
@@ -74,8 +74,7 @@ class EdgePlan:
     ``cv``: the threshold ``d_s - s_v``.
     ``frozen_others``: the vector the plan was built at without the edge's
     own value, in ascending id order. The plan is exact while the graph's
-    other unstable edges hold these values; a rebuild at a vector that
-    matches them keeps the plan as it is.
+    other unstable edges hold these values, so a change of its own keeps it.
     """
 
     edge_id: int
@@ -156,39 +155,24 @@ def _kernel_tree(g: WeaklyDynamicGraph, part: list[int], known: dict) -> Spannin
 
 
 def _build_plans(
-    g: WeaklyDynamicGraph,
-    values: Mapping[int, float],
-    edge_ids: Sequence[int],
-    previous: Mapping[int, EdgePlan],
+    g: WeaklyDynamicGraph, values: Mapping[int, float], edge_ids: Sequence[int], known: dict
 ) -> dict[int, EdgePlan]:
     """Plans for ``edge_ids`` at ``values``, a float per unstable id in ascending order.
 
-    The first plan to build finds the minimum tree at ``values`` and its
-    total; each plan's other tree is one more Kruskal, which for an edge
-    outside the tree drops the heaviest edge of the cycle the edge closes.
-
-    ``g``'s own unstable weights are neither read nor changed. A plan is a
-    function of the values it froze, so a ``previous`` plan that froze the
-    same ones is kept as it is; a tree whose edge set comes up again is kept
-    too, as its cached stable sum depends on no value. ``previous`` must
-    come from this graph's kernel.
+    One Kruskal finds the minimum tree at ``values`` and its total; each
+    plan's other tree is one more, which for an edge outside the tree drops
+    the heaviest edge of the cycle the edge closes. ``g``'s own unstable
+    weights are neither read nor changed. ``known`` maps kernel parts to
+    trees of this graph's kernel; a tree whose part is there is reused, as
+    its cached stable sum depends on no value, and each new tree is added.
     """
     kernel = g.kernel()
+    order = _kernel_order(g, values)
+    taken = kernel.spanning(order)
+    tree = _kernel_tree(g, taken, known)
+    total = _total_at(tree, values)
     plans = {}
-    tree = None
     for eid in edge_ids:
-        others = dict(values)
-        del others[eid]
-        plan = previous.get(eid)
-        if plan is not None and plan.frozen_others == others:
-            plans[eid] = plan
-            continue
-        if tree is None:
-            known = {t._part: t for p in previous.values() for t in (p.mst_s, p.mst_v) if t}
-            order = _kernel_order(g, values)
-            taken = kernel.spanning(order)
-            tree = _kernel_tree(g, taken, known)
-            total = _total_at(tree, values)
         if eid in tree._part:
             avoiding = kernel.spanning([f for f in order if f != eid])
             mst_s = None if avoiding is None else _kernel_tree(g, avoiding, known)
@@ -197,6 +181,8 @@ def _build_plans(
             mst_s, d_s = tree, total
             mst_v = _kernel_tree(g, kernel.spanning([eid, *taken]), known)
         s_v = _total_at(mst_v, values, exclude=eid)
+        others = dict(values)
+        del others[eid]
         plans[eid] = EdgePlan(eid, mst_s, d_s, mst_v, s_v, d_s - s_v, others)
     return plans
 
@@ -232,9 +218,10 @@ def select_tree(plan: EdgePlan, x: float) -> Selection:
     above it the stable tree wins with total ``d_s``. ``d_s`` and ``s_v``
     are correctly rounded sums of their trees' weights, whatever the order
     of the edges; ``s_v + x`` is one more rounding. The decision is
-    ``x < cv``, so within a rounding of ``cv`` the tree chosen can report a
-    total that rounding above the other tree's. An int past the float range
-    raises ``OverflowError`` where the total is ``s_v + x``.
+    ``x < cv``, so the tree chosen can be heavier than the other by about an
+    ulp of the larger total, however small ``cv`` is (never with integer
+    sums below 2**53). An int past the float range raises ``OverflowError``
+    where the total is ``s_v + x``.
     """
     if x - x != 0.0:  # 0.0 only for finite x; NaN and both infinities fail
         raise NonFiniteWeightError(f"query value must be finite, got {x!r}")
@@ -257,18 +244,18 @@ def precompute_all(g: WeaklyDynamicGraph) -> PlanSet:
 def apply_change(
     ps: PlanSet, g: WeaklyDynamicGraph, edge_id: int, new_x: float
 ) -> tuple[Selection, PlanSet]:
-    """Answer a weight change instantly, then rebuild all plans.
+    """Answer a weight change instantly, then rebuild the plans it moved.
 
     The immediate answer comes from the existing plan for ``edge_id``, which
     is exact because every other unstable edge still holds its snapshot value;
     a plan set built at other values than the graph's, or on a graph other
-    than ``g`` and its copies, is refused. The plans are then rebuilt from
-    the graph's kernel at the new values, keeping the plans and trees that
-    did not move, so the next change is answered just as fast. Only then is
-    the new value set in the graph, its one change: misuse, such as a
-    ``new_x`` that no finite float holds, and a rebuild that raises, such as
-    one whose tree total overflows (``NonFiniteWeightError``), leave the
-    graph as it was, with nothing to restore.
+    than ``g`` and its copies, is refused. That plan is kept, and the others,
+    which froze the old value, are rebuilt from the graph's kernel at the
+    new values, so the next change is answered just as fast; a value that
+    did not move (``==``) keeps every plan. Only then is the new value set
+    in the graph, its one change: misuse, such as a ``new_x`` that no finite
+    float holds, and a rebuild that raises, such as one whose tree total
+    overflows (``NonFiniteWeightError``), leave the graph as it was.
     """
     if not g._is_unstable(edge_id):
         raise NotUnstableError(f"edge {edge_id} is stable; it cannot change")
@@ -290,7 +277,10 @@ def apply_change(
     new_x = _finite(new_x, f"new value for edge {edge_id}")
     immediate = select_tree(plan, new_x)
     values = {**current, edge_id: new_x}
-    plans = _build_plans(g, values, g.unstable_ids, ps.plans)
+    plans = dict(ps.plans)
+    if new_x != current[edge_id] and len(g.unstable_ids) > 1:
+        known = {t._part: t for p in plans.values() for t in (p.mst_s, p.mst_v) if t}
+        plans.update(_build_plans(g, values, [e for e in g.unstable_ids if e != edge_id], known))
     set_unstable_weight(g, edge_id, new_x)
     return immediate, PlanSet(plans, values, g.kernel())
 

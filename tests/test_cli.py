@@ -314,9 +314,12 @@ def test_verify_custom_grid(tmp_path, capsys):
         (THRESHOLD8_TEXT, ["--halfwidth", "nan"]),
         (THRESHOLD8_TEXT, ["--halfwidth", "inf"]),
         (THRESHOLD8_TEXT, ["--halfwidth", "1e300", "--step", "1e-300"]),  # ratio is inf
+        (THRESHOLD8_TEXT, ["--halfwidth", "1e6", "--step", "1e-6"]),  # 10^12 steps a side
+        (THRESHOLD8_TEXT, ["--halfwidth", "1001", "--step", "1"]),
     ],
     ids=["bridge-step-0", "step-0", "step-neg", "step-nan", "step-inf",
-         "halfwidth-neg", "halfwidth-nan", "halfwidth-inf", "ratio-inf"],
+         "halfwidth-neg", "halfwidth-nan", "halfwidth-inf", "ratio-inf",
+         "ratio-1e12", "ratio-1001"],
 )
 def test_verify_refuses_a_bad_grid_before_any_output(tmp_path, capsys, text, grid):
     graph = write(tmp_path, "g.graph", text)
@@ -325,7 +328,7 @@ def test_verify_refuses_a_bad_grid_before_any_output(tmp_path, capsys, text, gri
     assert out == ""
     assert err == (
         "mstplan: grid step must be finite and > 0, halfwidth finite and >= 0, "
-        "and halfwidth / step finite\n"
+        "and halfwidth / step at most 1000\n"
     )
 
 

@@ -410,6 +410,24 @@ def test_old_and_unversioned_plan_files_refused(threshold8):
             plans_from_json(json.dumps(doc), threshold8)
 
 
+# Files the writer never writes, each equal to a written one under Python's
+# ``==`` (``3.0 == 3``) or with one key more.
+@pytest.mark.parametrize(
+    "mutate, key",
+    [
+        (lambda doc: doc.update(version=3.0), "format version 3.0"),
+        (lambda doc: doc["fingerprint"].update(n=4.0), "fingerprint"),
+        (lambda doc: doc.update(comment="hand edited"), "comment"),
+        (lambda doc: doc["plans"][0].update(frozen_others={}), "frozen_others"),
+    ],
+    ids=["float version", "float fingerprint n", "top-level key", "record key"],
+)
+def test_what_the_writer_never_writes_is_refused(mutate, key):
+    g = parse_graph("p wdg 4 5\ne 0 1 1\ne 1 2 2\ne 2 3 3\nu 0 2 4\nu 1 3 5\n")
+    with pytest.raises(PlanFormatError, match=f"{key}.*re-run `mstplan precompute`$"):
+        plans_from_json(mutated(g, mutate), g)
+
+
 # Stable weights 0.1, 0.2 and 0.3 on a path, closed by an unstable edge. An
 # earlier summation added each tree's weights one by one in ascending id
 # order, so this file, written by it, states d_s and cv one ulp off the
@@ -742,6 +760,8 @@ def test_malformed_plan_documents(threshold8):
         plans_from_json("[]", threshold8)
     with pytest.raises(PlanFormatError):
         plans_from_json("{}", threshold8)
+    with pytest.raises(PlanFormatError, match="^not valid JSON: maximum recursion depth"):
+        plans_from_json("[" * 100_000, threshold8)
 
     def bad_value(doc):
         doc["plans"][0]["d_s"] = "big"

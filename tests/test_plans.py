@@ -200,12 +200,18 @@ def test_apply_change_immediate_then_rebuild(threshold8):
     assert rebuilt.snapshot == {5: 9.0}
 
 
-def test_single_edge_plan_constant_across_changes(threshold8):
+def test_single_edge_plan_constant_across_changes(threshold8, monkeypatch):
     ps = precompute_all(threshold8)
     reference = ps.plans[5]
+
+    def no_kruskal(kernel, order):
+        raise AssertionError("a change of the only unstable edge ran a Kruskal")
+
+    monkeypatch.setattr(Kernel, "spanning", no_kruskal)
     for x in (7.0, 8.0, 0.0, 55.5, 9.0):
         sel, ps = apply_change(ps, threshold8, 5, x)
         plan = ps.plans[5]
+        assert plan is reference  # kept, as it pins no other value
         assert (plan.d_s, plan.s_v, plan.cv) == (40.0, 32.0, 8.0)
         assert plan.mst_s.edge_ids == reference.mst_s.edge_ids
         assert plan.mst_v.edge_ids == reference.mst_v.edge_ids
@@ -242,6 +248,11 @@ def test_apply_change_noop_value(multi3):
         old, new = ps.plans[eid], rebuilt.plans[eid]
         assert (old.d_s, old.s_v, old.cv) == (new.d_s, new.s_v, new.cv)
         assert old.mst_v.edge_ids == new.mst_v.edge_ids
+    assert all(rebuilt.plans[eid] is ps.plans[eid] for eid in ps.plans)
+    # 0.0 to -0.0 does not move the value under ``==`` either.
+    _, zero = apply_change(rebuilt, multi3, 5, 0.0)
+    _, signed = apply_change(zero, multi3, 5, -0.0)
+    assert all(signed.plans[eid] is zero.plans[eid] for eid in zero.plans)
 
 
 def test_apply_change_validation(triangle):
@@ -665,7 +676,12 @@ def test_rebuilds_build_no_tree_from_all_its_edge_ids(monkeypatch):
         eid = rng.choice(unstable)
         cv = ps.plans[eid].cv
         x = rng.choice([cv, cv - rng.uniform(0.0, 3.0), cv + rng.uniform(0.0, 3.0)])
+        old, moved = ps.plans, x != g.weight(eid)
         _, ps = apply_change(ps, g, eid, x)
+        # The changed edge's plan pins only the other values, so it is kept;
+        # every other plan pinned the old value and is new.
+        kept = [c for c in unstable if ps.plans[c] is old[c]]
+        assert kept == ([eid] if moved else unstable)
         trees.update(p.mst_v.edge_ids for p in ps.plans.values())
     monkeypatch.undo()
     assert len(trees) > 10  # the chain built many new trees
