@@ -36,7 +36,8 @@ def walkthrough():
     ps = precompute_all(g)
     print("two unstable edges, one plan each:")
     for eid, plan in sorted(ps.plans.items()):
-        print(f"  edge {eid}: threshold {plan.cv}, others pinned at {dict(plan.frozen_others)}")
+        others = {k: v for k, v in ps.snapshot.items() if k != eid}
+        print(f"  edge {eid}: threshold {plan.cv}, others pinned at {others}")
     print()
 
     for eid, x in [(0, 2.0), (2, 9.0), (0, 20.0)]:

@@ -15,23 +15,23 @@ swap to give ``mst_s``; an edge outside enters it in place of its swap to
 give ``mst_v``. Infinities are serialized as the string "inf". Every plan
 file carries a fingerprint of the graph it was computed from, including its
 unstable values, and loading against a graph with a different fingerprint
-is refused; the values each plan froze are that snapshot, so none are
-stored. The fingerprint is ``{"n", "edges", "sha256"}``, the hash taken
-over the edge fields in id order: every ``u``, then every ``v``, as int64,
-then every weight as float64, all little-endian whatever the machine, then
-one kind byte per edge (1 unstable, 0 stable). A weight of ``-0.0`` is
-hashed as ``0.0``, as the graph text writes both as ``0``. The stored
-``d_s`` and ``s_v`` are correctly rounded sums of their trees' weights
-(``math.fsum``), so they do not depend on the order the edges are added in.
-A plan set is a function of its graph, so a load builds the plans afresh
-and refuses a file that is not what the writer gives for them: every tree
-and total is checked, minimality included. The writer refuses a plan set
-that is not the graph's minimum spanning tree plus one swap per unstable
-edge. Files of earlier formats,
-version 2 with its text-hash fingerprint or without a version, are refused:
-re-run ``precompute``. So is a file with non-integer weights written by an
-earlier version that added totals edge by edge, when a total misses by an
-ulp.
+is refused; the values the plans froze are that snapshot, which a plan set
+stores once, so the file stores none. The fingerprint is ``{"n", "edges",
+"sha256"}``, the hash taken over the edge fields in id order: every ``u``,
+then every ``v``, as int64, then every weight as float64, all little-endian
+whatever the machine, then one kind byte per edge (1 unstable, 0 stable). A
+weight of ``-0.0`` is hashed as ``0.0``, as the graph text writes both as
+``0``. The stored ``d_s`` and ``s_v`` are correctly rounded sums of their
+trees' weights (``math.fsum``), so they do not depend on the order the edges
+are added in. A plan set is a function of its graph, so a load builds the
+plans afresh and refuses a file that is not what the writer gives for them:
+every tree and total is checked, minimality included. The writer refuses a
+plan set that is not the graph's minimum spanning tree plus one swap per
+unstable edge, with its trees' totals at the graph's values. Files of earlier
+formats, version 2 with its text-hash fingerprint or without a version, are
+refused: re-run ``precompute``. So is a file with non-integer weights written
+by an earlier version that added totals edge by edge, when a total misses by
+an ulp.
 
 Event streams are lines ``<seq> <edge_id> <new_x>`` with strictly
 increasing sequence numbers, one weight change per line.
@@ -48,6 +48,7 @@ import struct
 from pathlib import Path
 from typing import NamedTuple
 
+from .constrained import _total_at
 from .errors import (
     Error,
     EventSyntaxError,
@@ -222,8 +223,8 @@ def plans_to_json(ps: PlanSet, g: WeaklyDynamicGraph) -> str:
     """Serialize a plan set computed from ``g`` (at ``g``'s current values).
 
     The file holds the graph's minimum spanning tree plus each plan's swap,
-    so a plan set that is not that tree plus one swap per unstable edge, or
-    was not built at ``g``'s values, is refused with
+    so a plan set not built at ``g``'s values, or not that tree plus one swap
+    per unstable edge with its trees' totals at them, is refused with
     :class:`PlanFormatError` before anything is written.
     """
     values = unstable_values(g)
@@ -233,11 +234,18 @@ def plans_to_json(ps: PlanSet, g: WeaklyDynamicGraph) -> str:
         )
     _refuse_cover(ps.plans, g.unstable_ids)
     forced, part = _minimum_tree(g, values) if g.unstable_ids else _NO_TREE
+    records = [_encode_plan(ps.plans[eid], forced, part) for eid in sorted(ps.plans)]
+    for eid, plan in sorted(ps.plans.items()):
+        d_s = math.inf if plan.mst_s is None else _total_at(plan.mst_s, values)
+        if (plan.d_s, plan.s_v) != (d_s, _total_at(plan.mst_v, values, exclude=eid)):
+            raise PlanFormatError(
+                f"edge {eid}: d_s and s_v are not its trees' totals at the graph's values"
+            )
     doc = {
         "version": _PLAN_FORMAT,
         "fingerprint": graph_fingerprint(g),
         "tree": sorted(forced | part),
-        "plans": [_encode_plan(ps.plans[eid], forced, part, values) for eid in sorted(ps.plans)],
+        "plans": records,
     }
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
@@ -250,7 +258,7 @@ def _refuse_cover(covered, unstable) -> None:
         )
 
 
-def _encode_plan(plan: EdgePlan, forced: frozenset, tree: frozenset, values: dict) -> dict:
+def _encode_plan(plan: EdgePlan, forced: frozenset, tree: frozenset) -> dict:
     """The record of ``plan``, whose trees must be ``forced | tree`` and a swap of it.
 
     ``tree`` is a kernel part, so trees of the kernel trade parts, in O(k).
@@ -264,10 +272,6 @@ def _encode_plan(plan: EdgePlan, forced: frozenset, tree: frozenset, values: dic
     if own is None or own._traded(forced, tree) or not shaped:
         raise PlanFormatError(
             f"edge {eid}: plan is not the graph's minimum spanning tree plus one swap"
-        )
-    if dict(plan.frozen_others) != {k: v for k, v in values.items() if k != eid}:
-        raise PlanFormatError(
-            f"edge {eid}: frozen_others is not the graph's values without the edge"
         )
     return {
         "edge": eid,
@@ -326,9 +330,7 @@ def plans_from_json(text: str, g: WeaklyDynamicGraph) -> PlanSet:
     forced, part = _minimum_tree(g, ps.snapshot) if g.unstable_ids else _NO_TREE
     if _canon(doc.get("tree")) != _canon(sorted(forced | part)):
         raise PlanFormatError(f"tree is not the graph's minimum spanning tree; {_RERUN}")
-    wanted = {
-        eid: _encode_plan(plan, forced, part, ps.snapshot) for eid, plan in ps.plans.items()
-    }
+    wanted = {eid: _encode_plan(plan, forced, part) for eid, plan in ps.plans.items()}
     seen = set()
     for record in records:
         if not isinstance(record, dict):

@@ -150,22 +150,17 @@ class Kernel:
     unstable edge ranks first; contracting them leaves ``supers`` <= k + 1
     super-vertices. The kernel's edges are the unstable ones and ``stable``,
     the at most k other stable edges Kruskal then takes, in ``(weight, id)``
-    order; ``ends`` maps each to the super-vertices it joins.
+    order; ``_u`` and ``_v`` map each to the super-vertices it joins, as
+    two columns, the way ``_kruskal`` reads them.
     """
 
     forced: frozenset[int]
     supers: int
     stable: tuple[int, ...]
-    ends: dict[int, tuple[int, int]]
+    _u: dict[int, int]
+    _v: dict[int, int]
     # The exact sum of the ``forced`` weights, as ``_exact_sum`` gives it.
     _forced_expansion: tuple[float, ...] = field(repr=False, compare=False)
-    # ``ends`` as two columns, the way ``_kruskal`` reads them.
-    _u: dict[int, int] = field(init=False, repr=False, compare=False)
-    _v: dict[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_u", {eid: a for eid, (a, _) in self.ends.items()})
-        object.__setattr__(self, "_v", {eid: b for eid, (_, b) in self.ends.items()})
 
     def spanning(self, order: Iterable[int]) -> list[int] | None:
         """Kernel edges of ``order`` Kruskal takes; None if they do not span the kernel."""
@@ -198,12 +193,11 @@ def _build_kernel(g: "WeaklyDynamicGraph") -> Kernel:
             x = contracted[x]
         return index.setdefault(x, len(index))
 
-    kernel_ends = {
-        eid: (super_of(u[eid]), super_of(v[eid]))
-        for eid in (*kernel_stable, *g.unstable_ids)
-    }
+    edges = (*kernel_stable, *g.unstable_ids)
+    ends_u = {eid: super_of(u[eid]) for eid in edges}
+    ends_v = {eid: super_of(v[eid]) for eid in edges}
     forced_sum = _exact_sum([weight[eid] for eid in forced])
-    return Kernel(frozenset(forced), supers, tuple(kernel_stable), kernel_ends, forced_sum)
+    return Kernel(frozenset(forced), supers, tuple(kernel_stable), ends_u, ends_v, forced_sum)
 
 
 class WeaklyDynamicGraph:

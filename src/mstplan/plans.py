@@ -22,9 +22,9 @@ tree's kernel edges. A tree is the kernel's forced edges, which every tree
 shares, plus its own at most k kernel edges, so it costs O(k).
 
 With several unstable edges, one plan is kept per edge, each computed with
-the *other* unstable edges frozen at their snapshot values. Under the
-one-change-at-a-time contract the plan for the changed edge is exact at the
-moment of the change and after it, so a change keeps it and rebuilds the
+the *other* unstable edges frozen at the set's snapshot, stored once. Under
+the one-change-at-a-time contract the plan for the changed edge is exact at
+the moment of the change and after it, so a change keeps it and rebuilds the
 others at the new vector, and one whose value did not move keeps all. They
 all freeze one snapshot, so a rebuild touches no edge outside the kernel.
 
@@ -72,9 +72,8 @@ class EdgePlan:
     ``mst_v``/``s_v``: best tree containing the edge and the fixed part of its
     total, so the full total is ``s_v + x``.
     ``cv``: the threshold ``d_s - s_v``.
-    ``frozen_others``: the vector the plan was built at without the edge's
-    own value, in ascending id order. The plan is exact while the graph's
-    other unstable edges hold these values, so a change of its own keeps it.
+    It stores no values: it is exact at its set's :attr:`PlanSet.snapshot`,
+    or at :func:`precompute_plan`'s ``frozen``.
     """
 
     edge_id: int
@@ -83,7 +82,6 @@ class EdgePlan:
     mst_v: SpanningTree
     s_v: float
     cv: float
-    frozen_others: Mapping[int, float]
     # The answer on the stable side, built once so selection only returns it.
     _stable: Selection | None = field(init=False, repr=False, compare=False)
 
@@ -94,7 +92,11 @@ class EdgePlan:
 
 @dataclass(frozen=True, slots=True)
 class PlanSet:
-    """One plan per unstable edge plus the value snapshot they were built at."""
+    """One plan per unstable edge and the values, stored once, all are exact at.
+
+    Neither of a plan's totals reads its own edge's value, so the plan that
+    ``apply_change`` keeps is exact at the new ``snapshot`` too.
+    """
 
     plans: Mapping[int, EdgePlan]
     snapshot: Mapping[int, float]
@@ -181,9 +183,7 @@ def _build_plans(
             mst_s, d_s = tree, total
             mst_v = _kernel_tree(g, kernel.spanning([eid, *taken]), known)
         s_v = _total_at(mst_v, values, exclude=eid)
-        others = dict(values)
-        del others[eid]
-        plans[eid] = EdgePlan(eid, mst_s, d_s, mst_v, s_v, d_s - s_v, others)
+        plans[eid] = EdgePlan(eid, mst_s, d_s, mst_v, s_v, d_s - s_v)
     return plans
 
 
@@ -220,13 +220,16 @@ def select_tree(plan: EdgePlan, x: float) -> Selection:
     of the edges; ``s_v + x`` is one more rounding. The decision is
     ``x < cv``, so the tree chosen can be heavier than the other by about an
     ulp of the larger total, however small ``cv`` is (never with integer
-    sums below 2**53). An int past the float range raises ``OverflowError``
-    where the total is ``s_v + x``.
+    sums below 2**53). An int past the float range raises
+    ``NonFiniteWeightError`` where the total is ``s_v + x``.
     """
     if x - x != 0.0:  # 0.0 only for finite x; NaN and both infinities fail
         raise NonFiniteWeightError(f"query value must be finite, got {x!r}")
     if x < plan.cv:
-        return _new_tuple(Selection, (_VARIABLE, plan.s_v + x, plan.mst_v))
+        try:
+            return _new_tuple(Selection, (_VARIABLE, plan.s_v + x, plan.mst_v))
+        except OverflowError:  # an int past the largest float
+            raise NonFiniteWeightError("query value is past the float range") from None
     stable = plan._stable
     if stable is None:
         raise StablePlanMissingError(

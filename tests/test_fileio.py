@@ -803,10 +803,12 @@ def test_writer_refuses_what_is_not_one_tree_plus_swaps(tmp_path, multi3):
     # Plan 6 holds the minimum tree, but its other tree is two swaps away.
     two_swaps = dataclasses.replace(ps.plans[6], mst_s=path_tree)
     refused({**ps.plans, 6: two_swaps}, "one swap")
-    # Plan 4 froze another value of edge 5 than the graph holds.
-    frozen = {**ps.plans[4].frozen_others, 5: 0.0}
-    stale = dataclasses.replace(ps.plans[4], frozen_others=frozen)
-    refused({**ps.plans, 4: stale}, "frozen_others")
+    # Plan 4 taken from the set built after edge 5 moved to 4.5: its trees
+    # are still the minimum tree and a swap of it, but its other tree holds
+    # edge 5, so its d_s is stated at 4.5, not at the graph's 7.
+    _, moved = apply_change(ps, multi3.copy(), 5, 4.5)
+    assert moved.plans[4].d_s != ps.plans[4].d_s
+    refused({**ps.plans, 4: moved.plans[4]}, "^edge 4: d_s and s_v are not its trees' totals")
     refused(dict(ps.plans), "other unstable values", snapshot={4: 2.0, 5: 7.0, 6: 0.0})
     # A set without a plan for every unstable edge.
     cover = r"^plans cover edges \[{}\], graph's unstable edges are \[4, 5, 6\]$"

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import sys
+from collections.abc import Mapping
 
 import pytest
 from helpers import (
@@ -60,7 +61,6 @@ def test_fixture_plan_values(threshold8):
     assert (plan.d_s, plan.s_v, plan.cv) == (40.0, 32.0, 8.0)
     assert plan.mst_s.edge_ids == {0, 1, 2, 3, 4}
     assert plan.mst_v.edge_ids == {0, 1, 3, 4, 5}
-    assert dict(plan.frozen_others) == {}
 
 
 def test_triangle_plan_values(triangle):
@@ -133,8 +133,7 @@ def test_bridge_selection_always_variable(bridge4):
 def test_stable_plan_missing_is_reported(triangle):
     tree = precompute_plan(triangle, 2, {}).mst_v
     broken = EdgePlan(
-        edge_id=2, mst_s=None, d_s=math.inf, mst_v=tree, s_v=1.0, cv=3.0,
-        frozen_others={},
+        edge_id=2, mst_s=None, d_s=math.inf, mst_v=tree, s_v=1.0, cv=3.0
     )
     with pytest.raises(StablePlanMissingError):
         select_tree(broken, 4.0)
@@ -175,8 +174,6 @@ def test_precompute_all_cardinality(triangle, multi3):
     assert ps.snapshot == unstable_values(multi3)
     for eid, plan in ps.plans.items():
         assert plan.edge_id == eid
-        expected = {k: v for k, v in ps.snapshot.items() if k != eid}
-        assert dict(plan.frozen_others) == expected
 
 
 def test_precompute_leaves_graph_untouched(multi3):
@@ -232,11 +229,11 @@ def test_apply_change_rebuilds_dependent_plans():
     assert immediate.tree.edge_ids == {1, 2}
     # edge 0's plan now sees the other edge frozen at 1
     plan0 = rebuilt.plans[0]
-    assert dict(plan0.frozen_others) == {1: 1.0}
+    assert dict(rebuilt.snapshot) == {0: 5.0, 1: 1.0}
     assert (plan0.d_s, plan0.s_v, plan0.cv) == (5.0, 1.0, 4.0)
     # the old plan set is a snapshot, not a view
     assert ps.plans[0].cv == 6.0
-    assert dict(ps.plans[0].frozen_others) == {1: 6.0}
+    assert dict(ps.snapshot) == {0: 5.0, 1: 6.0}
 
 
 def test_apply_change_noop_value(multi3):
@@ -253,6 +250,19 @@ def test_apply_change_noop_value(multi3):
     _, zero = apply_change(rebuilt, multi3, 5, 0.0)
     _, signed = apply_change(zero, multi3, 5, -0.0)
     assert all(signed.plans[eid] is zero.plans[eid] for eid in zero.plans)
+
+
+def test_no_plan_holds_a_mapping(triangle, multi3):
+    # A set states its values once, as its snapshot; no plan copies them.
+    ps = precompute_all(multi3)
+    _, moved = apply_change(ps, multi3.copy(), 5, 4.5)
+    _, same = apply_change(ps, multi3.copy(), 5, multi3.weight(5))
+    _, single = apply_change(precompute_all(triangle), triangle, 2, 1.0)
+    loaded = plans_from_json(plans_to_json(ps, multi3), multi3)
+    for plan_set in (ps, moved, same, single, loaded):
+        for plan in plan_set.plans.values():
+            held = [getattr(plan, f.name) for f in dataclasses.fields(plan)]
+            assert not any(isinstance(value, Mapping) for value in held)
 
 
 def test_apply_change_validation(triangle):
@@ -285,6 +295,9 @@ def test_numbers_no_float_holds_are_refused(multi3):
             precompute_plan(multi3, 4, {5: huge, 6: 1.0})
         assert (format_graph(multi3), unstable_values(multi3)) == before
         assert ps == precompute_all(multi3)
+    # Below the threshold the total is s_v + x, which no float holds.
+    with pytest.raises(NonFiniteWeightError, match="float range"):
+        select_tree(precompute_all(multi3).plans[4], -(10**400))
 
 
 def test_a_rebuild_runs_one_kruskal_per_rebuilt_plan_and_one_for_the_tree(monkeypatch):
@@ -460,8 +473,6 @@ def test_planning_leaves_the_graph_alone(multi3, monkeypatch):
     for eid, value in frozen.items():
         set_unstable_weight(view, eid, value)
     assert plan == reference_plans(view).plans[5]
-    # in unstable-id order, and as floats: the 8 is stored as 8.0
-    assert [(k, repr(v)) for k, v in plan.frozen_others.items()] == [(4, "1.0"), (6, "8.0")]
 
 
 def test_apply_change_builds_first_and_sets_the_value_last(multi3, monkeypatch):
@@ -546,7 +557,7 @@ def test_kernel_holds_every_minimum_tree():
             (u, v, w, "unstable" if kind == "u" else "stable") for u, v, w, kind in specs
         ])
         kernel = g.kernel()
-        fields = (kernel.forced, kernel.supers, kernel.stable, dict(kernel.ends))
+        fields = (kernel.forced, kernel.supers, kernel.stable, dict(kernel._u), dict(kernel._v))
         k = len(g.unstable_ids)
         assert kernel.supers <= k + 1
         assert len(kernel.stable) <= k
@@ -558,7 +569,7 @@ def test_kernel_holds_every_minimum_tree():
             tree = constrained_mst_kruskal(g).edge_ids
             assert kernel.forced <= tree <= reach
             assert g.kernel() is kernel
-            assert (kernel.forced, kernel.supers, kernel.stable, kernel.ends) == fields
+            assert (kernel.forced, kernel.supers, kernel.stable, kernel._u, kernel._v) == fields
 
 
 def test_change_chains_match_the_constrained_kruskal_build():
@@ -639,8 +650,8 @@ def test_totals_are_correctly_rounded_sums_of_the_tree_weights():
         for _ in range(4):
             loaded = plans_from_json(plans_to_json(ps, g), g)
             for plan_set in (ps, loaded):
+                values = plan_set.snapshot
                 for eid, plan in plan_set.plans.items():
-                    values = plan.frozen_others
                     sides = ((plan.mst_v, plan.s_v, eid), (plan.mst_s, plan.d_s, None))
                     for tree, total, exclude in sides:
                         if tree is None:
@@ -836,8 +847,7 @@ def test_stale_frozen_values_are_detectable(multi3):
     ps = precompute_all(multi3)
     set_unstable_weight(multi3, 5, 100.0)
     current = unstable_values(multi3)
-    plan4 = ps.plans[4]
-    assert plan4.frozen_others[5] != current[5]
+    assert ps.snapshot[5] != current[5]
 
 
 def test_best_total_matches_min_form_and_is_monotone(threshold8, triangle, bridge4):
@@ -926,14 +936,15 @@ def test_swapped_trees_match_independent_searches():
                 for i, (u, v) in enumerate(pairs)
             ],
         )
-        plans = list(precompute_all(g).plans.values())
+        ps = precompute_all(g)
+        plans = [(plan, ps.snapshot) for plan in ps.plans.values()]
         for eid in sorted(unstable):
             frozen = {k: float(rng.randint(1, 3)) for k in unstable if k != eid}
-            plans.append(precompute_plan(g, eid, frozen))
-        for plan in plans:
+            plans.append((precompute_plan(g, eid, frozen), frozen))
+        for plan, values in plans:
             e = plan.edge_id
             view = g.copy()
-            for k, value in plan.frozen_others.items():
+            for k, value in values.items():
                 set_unstable_weight(view, k, value)
             avoiding = constrained_mst_kruskal(view, Constraints(forbidden={e}))
             if isinstance(avoiding, Infeasible):
