@@ -39,7 +39,6 @@ increasing sequence numbers, one weight change per line.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import marshal
 import math
@@ -84,10 +83,13 @@ def parse_graph(text: str) -> WeaklyDynamicGraph:
     """Parse graph-file text. Raises with a 1-based line number on bad input.
 
     Each edge is checked once, as its line is read, so a bad edge line is
-    reported before a header count that the file does not meet.
+    reported before a header count that the file does not meet. The
+    endpoint columns hold one int object per vertex: an endpoint token is
+    converted the first time it appears, and looked up after that.
     """
     n = 0
     m: int | None = None  # the declared edge count, once the header is read
+    ids: dict[str, int] = {}  # endpoint token -> its vertex, once checked
     us: list[int] = []
     vs: list[int] = []
     weights: list[float] = []
@@ -104,12 +106,16 @@ def parse_graph(text: str) -> WeaklyDynamicGraph:
                 raise GraphSyntaxError(
                     f"edge line needs '{tag} <u> <v> <weight>'", line=lineno
                 )
+            if (u := ids.get(fields[1])) is None:
+                u = _vertex(fields[1], n, ids)
+            if (v := ids.get(fields[2])) is None:
+                v = _vertex(fields[2], n, ids)
             try:
-                u, v, w = int(fields[1]), int(fields[2]), float(fields[3])
+                w = float(fields[3])
             except ValueError:
-                u = -1  # fails the check below, which names the bad field
+                w = math.inf  # fails the check below, which names the bad field
             # w - w is 0.0 only for finite w.
-            if not (0 <= u < n and 0 <= v < n and u != v and w - w == 0.0):
+            if u is None or v is None or u == v or w - w != 0.0:
                 u, v, w = _edge_fields(fields, lineno, n)
             if tag == "u":
                 unstable.append(len(weights))
@@ -139,6 +145,18 @@ def parse_graph(text: str) -> WeaklyDynamicGraph:
             f"header declares {m} edge lines, file has {len(weights)}"
         )
     return _graph(n, us, vs, weights, unstable)
+
+
+def _vertex(token: str, n: int, ids: dict[str, int]) -> int | None:
+    """The vertex ``token`` names, one int for all its spellings, kept in ``ids``; else None."""
+    try:
+        u = int(token)
+    except ValueError:
+        return None
+    if not 0 <= u < n:
+        return None
+    ids[token] = u = ids.setdefault(str(u), u)
+    return u
 
 
 def _edge_fields(fields: list[str], lineno: int, n: int) -> tuple[int, int, float]:
@@ -194,12 +212,14 @@ def graph_fingerprint(g: WeaklyDynamicGraph) -> dict:
     """Identity of a graph's content: size counts plus a hash of its edge fields.
 
     The module docstring gives the byte layout; its fixed byte order lets a
-    plan file move between machines.
+    plan file move between machines. The first call loads ``hashlib``, and
+    with it OpenSSL; importing the package loads neither.
     """
     m = g.num_edges
     kinds = bytearray(m)
     for eid in g.unstable_ids:
         kinds[eid] = 1
+    import hashlib  # here, not at the top: it maps OpenSSL, which only fingerprints need
     fields = struct.pack(
         f"<{2 * m}q{m}d",
         *g._u,

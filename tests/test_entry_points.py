@@ -76,3 +76,18 @@ def test_every_name_the_benchmark_imports_resolves():
                     missing.append(f"{script.name}: {node.module}.{alias.name}")
     assert "mstplan.precompute_all" in seen  # the scan found the imports
     assert not missing
+
+
+def test_openssl_loads_with_the_first_fingerprint_only():
+    # hashlib maps OpenSSL, a few MB of resident memory that only a
+    # fingerprint needs, so importing the package must not load it.
+    probe = (
+        "import sys, mstplan\n"
+        "names = ('hashlib', '_hashlib')\n"
+        "print([name in sys.modules for name in names])\n"
+        "mstplan.graph_fingerprint(mstplan.parse_graph('p wdg 2 1\\ne 0 1 1\\n'))\n"
+        "print([name in sys.modules for name in names])\n"
+    )
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[False, False]", "[True, True]"]

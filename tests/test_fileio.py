@@ -168,6 +168,31 @@ def test_bad_edge_line_reported_before_header_count():
     assert err.line is None and "declares 5" in str(err)
 
 
+def test_endpoint_spellings_name_one_vertex():
+    path = "".join(f"e {i} {i + 1} 1\n" for i in range(2, 10))
+    plain = parse_graph(f"p wdg 11 11\n{path}e 1 2 5\ne 2 0 3\nu 10 1 4\n")
+    for edges in ("e 01 2 5\ne +2 0 3\nu 1_0 1 4\n", "e 1 002 5\ne 2 -0 3\nu 10 +1 4\n"):
+        g = parse_graph(f"p wdg 11 11\n{path}{edges}")
+        assert format_graph(g) == format_graph(plain)
+        assert graph_fingerprint(g) == graph_fingerprint(plain)
+        assert g.unstable_ids == plain.unstable_ids
+    with pytest.raises(SelfLoopError) as info:
+        parse_graph("p wdg 2 2\ne 0 1 1\ne 1 01 4\n")
+    assert str(info.value) == "line 3: self-loop at vertex 1"
+
+
+def test_parse_keeps_one_int_per_vertex():
+    g = generate_graph(1500, 4500, 8, seed=3)
+    lines = format_graph(g).splitlines(keepends=True)
+    # "e 12 7 3" -> "e 012 07 3" on the first 500 edge lines, plain after them
+    padded = [line.replace(" ", " 0", 2) for line in lines[1:501]]
+    spelled = "".join([lines[0], *padded, *lines[501:]])
+    for text in (format_graph(g), spelled):
+        parsed = parse_graph(text)
+        assert graph_fingerprint(parsed) == graph_fingerprint(g)
+        assert len({id(x) for x in parsed._u + parsed._v}) <= parsed.n
+
+
 @pytest.mark.parametrize(
     "u, v, w, error",
     [

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -117,12 +118,22 @@ def test_too_few_edges_to_connect_are_refused_before_the_kernel(monkeypatch):
         raise AssertionError("a kernel build ran for too few edges")
 
     monkeypatch.setattr("mstplan.graph._build_kernel", boom)
-    for make in (lambda: parse_graph("p wdg 1000000000 0\n"), lambda: build_graph(10**9, [])):
-        with pytest.raises(DisconnectedGraphError) as info:
-            make()
-        assert str(info.value) == (
-            "graph on 1000000000 vertices is not connected by its full edge set"
-        )
+    tracemalloc.start()
+    try:
+        for make in (
+            lambda: parse_graph("p wdg 1000000000 0\n"),
+            lambda: parse_graph("p wdg 1000000000 2\ne 0 1 1\ne 1 2 1\n"),
+            lambda: build_graph(10**9, []),
+        ):
+            with pytest.raises(DisconnectedGraphError) as info:
+                make()
+            assert str(info.value) == (
+                "graph on 1000000000 vertices is not connected by its full edge set"
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_unknown_edge_lookup(triangle):

@@ -26,6 +26,7 @@ from mstplan import (
     Infeasible,
     NonFiniteWeightError,
     NotUnstableError,
+    PlanFormatError,
     PlanSet,
     SpanningTree,
     StablePlanMissingError,
@@ -845,9 +846,13 @@ def test_plan_files_match_the_constrained_kruskal_build():
 
 def test_stale_frozen_values_are_detectable(multi3):
     ps = precompute_all(multi3)
-    set_unstable_weight(multi3, 5, 100.0)
-    current = unstable_values(multi3)
-    assert ps.snapshot[5] != current[5]
+    set_unstable_weight(multi3, 5, 100.0)  # moved behind the set's back
+    moved = unstable_values(multi3)
+    with pytest.raises(StalePlanSetError):
+        apply_change(ps, multi3, 4, 0.0)
+    assert unstable_values(multi3) == moved
+    with pytest.raises(PlanFormatError, match="other unstable values"):
+        plans_to_json(ps, multi3)
 
 
 def test_best_total_matches_min_form_and_is_monotone(threshold8, triangle, bridge4):
