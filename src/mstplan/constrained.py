@@ -138,7 +138,8 @@ def constrained_mst_kruskal(
     edge id, so the result is deterministic.
     """
     constraints.validate(g)
-    u, v, weight = g._u, g._v, g._weight
+    # A list: a sort key that boxes one float per id from the array is slower.
+    u, v, weight = g._u, g._v, g._weight.tolist()
     parent = list(range(g.n))
     mandatory = sorted(constraints.mandatory)
     chosen = _kruskal(mandatory, u, v, parent, len(mandatory))

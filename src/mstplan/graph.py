@@ -6,7 +6,8 @@ time via :func:`set_unstable_weight`. Parallel edges are allowed, self-loops
 are not, and the full edge set must connect all vertices.
 
 So a graph is stored as three flat columns indexed by edge id, both
-endpoints and the weight, plus the ids of its unstable edges. Parsing,
+endpoints as lists of ints and the weights as one ``array('d')`` of
+float64 values, plus the ids of its unstable edges. Parsing,
 fingerprinting, planning and plan loading read the columns; the
 :class:`Edge` objects of ``edges`` and ``edge(i)`` are a view built from
 them on first use and kept.
@@ -23,6 +24,7 @@ exclusive access. There is no internal locking.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import filterfalse
@@ -174,8 +176,9 @@ def _build_kernel(g: "WeaklyDynamicGraph") -> Kernel:
     n = g.n
     unstable = set(g.unstable_ids)
     stable = list(filterfalse(unstable.__contains__, range(len(weight))))
-    # A stable sort of ascending ids keeps equal weights in id order.
-    stable.sort(key=weight.__getitem__)
+    # A stable sort of ascending ids keeps equal weights in id order. It reads
+    # a list: a key that boxes one float per id from the array is slower.
+    stable.sort(key=weight.tolist().__getitem__)
     parent = list(range(n))
     joined = _kruskal(g.unstable_ids, u, v, parent, n - 1)
     forced = _kruskal(stable, u, v, parent, n - 1 - len(joined))
@@ -204,7 +207,8 @@ class WeaklyDynamicGraph:
     """A weighted undirected multigraph whose unstable edges may change value.
 
     The graph is stored as columns indexed by dense edge id (input order):
-    both endpoints and the current weight of each edge. ``unstable_ids``
+    both endpoints, as lists, and the current weight of each edge, as one
+    ``array('d')``, so no float object is kept per edge. ``unstable_ids``
     enumerates the edges whose weights are replaceable. ``edges`` is a view
     of :class:`Edge` objects built from the columns on first read and kept,
     so repeated reads return the same objects; treat it as read-only, and
@@ -255,8 +259,7 @@ class WeaklyDynamicGraph:
         The copy shares the kernel, so plans built on either graph are
         accepted by the other. It builds no ``Edge`` view.
         """
-        weight = list(self._weight)
-        return _graph(self.n, self._u, self._v, weight, self.unstable_ids, self._kernel)
+        return _graph(self.n, self._u, self._v, self._weight[:], self.unstable_ids, self._kernel)
 
     def kernel(self) -> Kernel:
         """The graph's :class:`Kernel`, built with it and shared by its copies; read-only."""
@@ -268,7 +271,8 @@ def _graph(n, u, v, weight, unstable_ids, kernel=None) -> WeaklyDynamicGraph:
 
     Otherwise it builds its kernel, which raises DisconnectedGraphError for
     a graph that is not connected. Fewer than ``n - 1`` edges cannot connect
-    it, and are refused before anything of size ``n`` is built.
+    it, and are refused before anything of size ``n`` is built. ``u`` and
+    ``v`` are lists of ints, ``weight`` an ``array('d')``.
     """
     if kernel is None and len(weight) < n - 1:
         raise _disconnected(n)
@@ -310,7 +314,7 @@ def build_graph(
         raise Error(f"vertex count must be >= 1, got {n}")
     us: list[int] = []
     vs: list[int] = []
-    weights: list[float] = []
+    weights = array("d")
     unstable: list[int] = []
     for u, v, weight, kind in edge_specs:
         kind = _coerce_kind(kind)

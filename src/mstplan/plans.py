@@ -220,16 +220,26 @@ def select_tree(plan: EdgePlan, x: float) -> Selection:
     of the edges; ``s_v + x`` is one more rounding. The decision is
     ``x < cv``, so the tree chosen can be heavier than the other by about an
     ulp of the larger total, however small ``cv`` is (never with integer
-    sums below 2**53). An int past the float range raises
-    ``NonFiniteWeightError`` where the total is ``s_v + x``.
+    sums below 2**53). Where the total is ``s_v + x``, an int past the float
+    range and a finite ``x`` whose total overflows to an infinity raise
+    ``NonFiniteWeightError``.
     """
-    if x - x != 0.0:  # 0.0 only for finite x; NaN and both infinities fail
-        raise NonFiniteWeightError(f"query value must be finite, got {x!r}")
+    # Each branch checks one number for finiteness: the variable branch its
+    # total, which also fails for -inf and for a finite x whose total
+    # overflows, and the stable branch x; NaN and +inf take the stable one.
     if x < plan.cv:
         try:
-            return _new_tuple(Selection, (_VARIABLE, plan.s_v + x, plan.mst_v))
+            total = plan.s_v + x
         except OverflowError:  # an int past the largest float
             raise NonFiniteWeightError("query value is past the float range") from None
+        if total - total == 0.0:  # 0.0 only for a finite total
+            return _new_tuple(Selection, (_VARIABLE, total, plan.mst_v))
+        if x - x == 0.0:
+            raise NonFiniteWeightError(
+                f"edge {plan.edge_id}: the variable tree's total s_v + x overflows the float range"
+            )
+    if x - x != 0.0:  # 0.0 only for finite x; NaN and both infinities fail
+        raise NonFiniteWeightError(f"query value must be finite, got {x!r}")
     stable = plan._stable
     if stable is None:
         raise StablePlanMissingError(

@@ -2,9 +2,11 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import random
+import struct
 
 import pytest
 from helpers import (
@@ -52,6 +54,7 @@ from mstplan import (
     write_graph,
     write_plans,
 )
+from mstplan.fileio import _CHUNK, _NEGATIVE_ZERO
 
 
 def test_format_value():
@@ -193,6 +196,53 @@ def test_parse_keeps_one_int_per_vertex():
         assert len({id(x) for x in parsed._u + parsed._v}) <= parsed.n
 
 
+def mixed_line_ends(lines):
+    """``lines`` joined so that ``\r`` and ``\x0c`` ends come just before and
+    just after each cut ``parse_graph`` makes, and ``\r\n`` on it; also the
+    indices of the lines that end and start a chunk."""
+    pieces, size, start, last, first = [], 0, 0, [], []
+    after = 0  # lines still to end without a \n after a cut
+    for i, line in enumerate(lines):
+        size += len(line)
+        if after:
+            end, after = "\r\x0c"[after % 2], after - 1
+        elif size + 2 <= start + _CHUNK - 60:
+            end = "\n"
+        elif size + 1 < start + _CHUNK:
+            end = "\x0c\r"[i % 2]  # a \n here would not be a cut
+        else:
+            end, after = "\r\n", 2  # the first \n at or past start + _CHUNK
+            last.append(i)
+            first.append(i + 1)
+            start = size + 2
+        pieces.append(line + end)
+        size += len(end)
+    return "".join(pieces), last, first
+
+
+def test_chunk_cuts_keep_lines_and_line_numbers():
+    plain = format_graph(generate_graph(4000, 8000, 8, seed=11))
+    lines = plain.splitlines()
+    mixed, last, first = mixed_line_ends(lines)
+    assert len(mixed) > 3 * _CHUNK and len(last) >= 3
+    assert mixed.splitlines() == lines
+    # Each chunk runs to the first \n at or past _CHUNK characters into it.
+    cuts, start = [], 0
+    while start := mixed.find("\n", start + _CHUNK) + 1:
+        cuts.append(start)
+    ends = list(itertools.accumulate(map(len, mixed.splitlines(keepends=True))))
+    assert [ends[i] for i in last] == cuts
+    g, want = parse_graph(mixed), parse_graph(plain)
+    assert (g.n, g._u, g._v, g._weight, g.unstable_ids) == (
+        want.n, want._u, want._v, want._weight, want.unstable_ids,
+    )
+    assert graph_fingerprint(g) == graph_fingerprint(want)
+    # A bad line of the same length keeps every cut where it was.
+    for i in last + first:
+        bad, _, _ = mixed_line_ends(lines[:i] + ["q" + lines[i][1:]] + lines[i + 1:])
+        assert graph_syntax_error(bad).line == i + 1
+
+
 @pytest.mark.parametrize(
     "u, v, w, error",
     [
@@ -324,6 +374,29 @@ def test_negative_zero_fingerprints_as_zero(tmp_path):
     again = read_graph(tmp_path / "g.graph")
     assert math.copysign(1.0, again.weight(2)) == 1.0  # the text wrote "0"
     assert plan_sets_equal(read_plans(tmp_path / "g.plan", again), ps)
+
+
+def reference_fingerprint(g):
+    m = g.num_edges
+    kinds = bytes(int(eid in g.unstable_ids) for eid in range(m))
+    weights = [w + 0.0 for w in g._weight]
+    fields = struct.pack(f"<{2 * m}q{m}d", *g._u, *g._v, *weights)
+    return {"n": g.n, "edges": m, "sha256": hashlib.sha256(fields + kinds).hexdigest()}
+
+
+def test_fingerprint_takes_array_bytes_or_packs_each_weight():
+    # Lowest byte 0x80: after 5e-324 the -0.0 bytes 00 * 7 + 80 span two weights.
+    (high,) = struct.unpack("<d", b"\x80" + struct.pack("<d", 3.0)[1:])
+    edges = {
+        "negative zero": [(0, 1, 2.0, "stable"), (1, 2, -0.0, "unstable"), (0, 2, 5.0, "stable")],
+        "across two weights": [(0, 1, 5e-324, "stable"), (1, 2, high, "unstable")],
+        "array bytes": [(0, 1, 5e-324, "stable"), (1, 2, 3.0, "unstable"), (0, 2, -1.5, "stable")],
+    }
+    for name, specs in edges.items():
+        g = build_graph(3, specs)
+        assert (_NEGATIVE_ZERO in g._weight.tobytes()) == (name != "array bytes")
+        assert graph_fingerprint(g) == reference_fingerprint(g), name
+        assert graph_fingerprint(parse_graph(format_graph(g))) == reference_fingerprint(g), name
 
 
 # --------------------------------------------------------------------------

@@ -193,6 +193,28 @@ def test_copy_isolates_weights(triangle):
     assert other.weight(2) == 99.0
 
 
+def test_a_parse_holds_and_keeps_little_memory():
+    # Lines are split a chunk at a time, the token dict goes before the
+    # kernel build, and the weights are one float64 array: a whole-text
+    # splitlines() and a float object per weight peak near 5.8 MiB and
+    # keep 3.0 MiB on this graph.
+    text = format_graph(generate_graph(10_000, 30_000, 8, 1))
+    tracemalloc.start()
+    try:
+        g = parse_graph(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.0 * 2**20
+    assert kept <= 2.3 * 2**20
+    assert g._weight.typecode == "d"
+    other = g.copy()
+    eid = g.unstable_ids[0]
+    before = g.weight(eid)
+    set_unstable_weight(other, eid, before + 0.5)
+    assert g.weight(eid) == before and other.weight(eid) == before + 0.5
+
+
 def test_built_and_parsed_edges_are_frozen_edges():
     text = "p wdg 3 4\ne 0 1 2\ne 0 1 -0\nu 1 2 0.5\nu 0 2 7\n"
     specs = [(0, 1, 2, "stable"), (0, 1, -0.0, "stable"), (1, 2, 0.5, "unstable"), (0, 2, 7, "unstable")]

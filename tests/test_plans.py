@@ -296,9 +296,12 @@ def test_numbers_no_float_holds_are_refused(multi3):
             precompute_plan(multi3, 4, {5: huge, 6: 1.0})
         assert (format_graph(multi3), unstable_values(multi3)) == before
         assert ps == precompute_all(multi3)
-    # Below the threshold the total is s_v + x, which no float holds.
+    # Below the threshold the total is s_v + x, which no float holds; at or
+    # above it the total is d_s.
+    plan = precompute_all(multi3).plans[4]
     with pytest.raises(NonFiniteWeightError, match="float range"):
-        select_tree(precompute_all(multi3).plans[4], -(10**400))
+        select_tree(plan, -(10**400))
+    assert select_tree(plan, 10**400) is plan._stable
 
 
 def test_a_rebuild_runs_one_kruskal_per_rebuilt_plan_and_one_for_the_tree(monkeypatch):
@@ -449,6 +452,23 @@ def test_tree_totals_past_the_float_range_are_refused():
     assert (g.edges, unstable_values(g), format_graph(g)) == before
     _, rebuilt = apply_change(ps, g, 0, 2.0)  # the plans are not stale
     assert rebuilt.plans == reference_plans(g).plans
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_finite_value_whose_variable_total_overflows_is_refused(sign):
+    # s_v + x rounds to an infinity: an error, not a total of inf. With one
+    # unstable edge a change runs no rebuild, so only select_tree refuses it.
+    g = parse_graph(f"p wdg 3 2\ne 0 1 {sign}e308\nu 1 2 {sign}\n")
+    ps = precompute_all(g)
+    plan = ps.plans[1]
+    with pytest.raises(NonFiniteWeightError, match="overflows"):
+        select_tree(plan, sign * 1.7e308)
+    with pytest.raises(NonFiniteWeightError, match="overflows"):
+        select_tree(plan, sign * 10**308)  # an int a float holds
+    with pytest.raises(NonFiniteWeightError, match="overflows"):
+        apply_change(ps, g, 1, sign * 1.7e308)
+    assert g.weight(1) == sign and unstable_values(g) == dict(ps.snapshot)
+    assert select_tree(plan, sign * 1e300).total_weight == sign * 1e308 + sign * 1e300
 
 
 def test_planning_leaves_the_graph_alone(multi3, monkeypatch):
