@@ -21,9 +21,11 @@ stores once, so the file stores none. The fingerprint is ``{"n", "edges",
 then every ``v``, as int64, then every weight as float64, all little-endian
 whatever the machine, then one kind byte per edge (1 unstable, 0 stable). A
 weight of ``-0.0`` is hashed as ``0.0``, as the graph text writes both as
-``0``. The stored ``d_s`` and ``s_v`` are correctly rounded sums of their
-trees' weights (``math.fsum``), so they do not depend on the order the edges
-are added in. A plan set is a function of its graph, so a load builds the
+``0``. The hash is the interpreter's built-in SHA-256, whose digest is
+OpenSSL's, so no process of the package maps OpenSSL. The stored ``d_s``
+and ``s_v`` are correctly rounded sums of their trees' weights
+(``math.fsum``), so they do not depend on the order the edges are added
+in. A plan set is a function of its graph, so a load builds the
 plans afresh and refuses a file that is not what the writer gives for them:
 every tree and total is checked, minimality included. The writer refuses a
 plan set that is not the graph's minimum spanning tree plus one swap per
@@ -39,10 +41,12 @@ increasing sequence numbers, one weight change per line.
 
 from __future__ import annotations
 
+import functools
 import json
 import marshal
 import math
 import random
+import re
 import struct
 import sys
 from array import array
@@ -83,6 +87,8 @@ def format_value(value: float) -> str:
 
 # ``parse_graph`` splits this many characters of text into lines at a time.
 _CHUNK = 1 << 16
+# A line break of ``str.splitlines()``, ``\r\n`` whole.
+_LINE_BREAK = re.compile(r"\r\n?|[\n\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
 def parse_graph(text: str) -> WeaklyDynamicGraph:
@@ -91,8 +97,8 @@ def parse_graph(text: str) -> WeaklyDynamicGraph:
     Each edge is checked once, as its line is read, so a bad edge line is
     reported before a header count that the file does not meet. The text is
     split into lines a piece of about 64 KiB at a time, each piece cut just
-    after a ``\n``, so no line is split, ``\r\n`` included, and the lines
-    and their numbers are those of ``text.splitlines()``. The endpoint
+    after a line break, so no line is split, ``\r\n`` included, and the
+    lines and their numbers are those of ``text.splitlines()``. The endpoint
     columns hold one int object per vertex: an endpoint token is converted
     the first time it appears, and looked up after that. A piece's weights
     go into the graph's ``array('d')`` when its lines are read, so the parse
@@ -107,7 +113,8 @@ def parse_graph(text: str) -> WeaklyDynamicGraph:
     unstable: list[int] = []
     lineno = start = 0
     while start < len(text):
-        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        cut = _LINE_BREAK.search(text, start + _CHUNK)
+        end = cut.end() if cut else len(text)
         chunk_weights = []  # list.append is about 3x as fast as array.append
         for lineno, raw in enumerate(text[start:end].splitlines(), lineno + 1):
             fields = raw.split()
@@ -230,6 +237,19 @@ def write_graph(g: WeaklyDynamicGraph, path: str | Path) -> None:
 _NEGATIVE_ZERO = struct.pack("<d", -0.0)
 
 
+@functools.cache
+def _sha256():
+    """The interpreter's built-in ``sha256``, or ``hashlib``'s in a build without one."""
+    try:  # by version: a failed import searches the whole path
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+    return sha256
+
+
 def graph_fingerprint(g: WeaklyDynamicGraph) -> dict:
     """Identity of a graph's content: size counts plus a hash of its edge fields.
 
@@ -237,8 +257,12 @@ def graph_fingerprint(g: WeaklyDynamicGraph) -> dict:
     plan file move between machines. The weights are the bytes of the
     graph's ``array('d')``, byte-swapped on a big-endian machine; where the
     bytes of ``-0.0`` occur in them, each weight is packed as ``w + 0.0``
-    instead. The first call loads ``hashlib``, and with it OpenSSL;
-    importing the package loads neither.
+    instead. The hash is CPython's built-in SHA-256 (module ``_sha2``, or
+    ``_sha256`` before 3.12), loaded on the first call, whose digest is
+    OpenSSL's. ``hashlib`` would map OpenSSL, about 3.7 MB of resident
+    memory, and take about 3 ms to import; the built-in hashes about three
+    times slower, so a 4 800-edge graph (120 KB hashed) fingerprints in
+    0.65-0.85 ms, against 0.23-0.29 ms with ``hashlib``.
     """
     m = g.num_edges
     kinds = bytearray(m)
@@ -251,8 +275,7 @@ def graph_fingerprint(g: WeaklyDynamicGraph) -> dict:
     weight_bytes = weights.tobytes()
     if _NEGATIVE_ZERO in weight_bytes:
         weight_bytes = struct.pack(f"<{m}d", *[w + 0.0 for w in g._weight])  # -0.0 + 0.0 is 0.0
-    import hashlib  # here, not at the top: it maps OpenSSL, which only fingerprints need
-    digest = hashlib.sha256(struct.pack(f"<{2 * m}q", *g._u, *g._v))
+    digest = _sha256()(struct.pack(f"<{2 * m}q", *g._u, *g._v))
     digest.update(weight_bytes)
     digest.update(kinds)
     return {"n": g.n, "edges": m, "sha256": digest.hexdigest()}

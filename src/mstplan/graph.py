@@ -314,7 +314,7 @@ def build_graph(
         raise Error(f"vertex count must be >= 1, got {n}")
     us: list[int] = []
     vs: list[int] = []
-    weights = array("d")
+    weights: list[float] = []  # list.append is about 3x as fast as array.append
     unstable: list[int] = []
     for u, v, weight, kind in edge_specs:
         kind = _coerce_kind(kind)
@@ -324,7 +324,7 @@ def build_graph(
         us.append(u)
         vs.append(v)
         weights.append(weight)
-    return _graph(n, us, vs, weights, unstable)
+    return _graph(n, us, vs, array("d", weights), unstable)
 
 
 def _validate_edge(n: int, u: int, v: int, weight: float) -> float:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import struct
 
 from mstplan import (
     Constraints,
@@ -181,6 +183,15 @@ def reference_plans(g) -> PlanSet:
             cv=d_s - s_v,
         )
     return PlanSet(plans=plans, snapshot=unstable_values(g))
+
+
+def reference_fingerprint(g) -> dict:
+    """``graph_fingerprint`` by the layout it documents, hashed by ``hashlib``."""
+    m = g.num_edges
+    kinds = bytes(int(eid in g.unstable_ids) for eid in range(m))
+    weights = [w + 0.0 for w in g._weight]
+    fields = struct.pack(f"<{2 * m}q{m}d", *g._u, *g._v, *weights)
+    return {"n": g.n, "edges": m, "sha256": hashlib.sha256(fields + kinds).hexdigest()}
 
 
 def tamper_one_weight(text: str) -> str:

@@ -2,15 +2,18 @@
 and its self-test passes."""
 
 import ast
-import importlib
+import importlib.util
+import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from helpers import TRIANGLE_TEXT, random_graph, reference_fingerprint
 
-from mstplan import parse_graph, read_plans
+from mstplan import format_graph, parse_graph, read_plans
 from mstplan.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,16 +81,41 @@ def test_every_name_the_benchmark_imports_resolves():
     assert not missing
 
 
-def test_openssl_loads_with_the_first_fingerprint_only():
-    # hashlib maps OpenSSL, a few MB of resident memory that only a
-    # fingerprint needs, so importing the package must not load it.
+def test_no_mstplan_process_loads_openssl(tmp_path):
+    # hashlib maps OpenSSL, a few MB of resident memory; fingerprints use
+    # the interpreter's built-in SHA-256 instead.
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this interpreter has no built-in SHA-256")
+    graph, plan = tmp_path / "g.graph", tmp_path / "g.plan"
+    graph.write_text(TRIANGLE_TEXT, encoding="utf-8")
     probe = (
-        "import sys, mstplan\n"
-        "names = ('hashlib', '_hashlib')\n"
-        "print([name in sys.modules for name in names])\n"
+        "import json, sys\n"
+        "seen = []\n"
+        "def loaded(): seen.append([name in sys.modules for name in ('hashlib', '_hashlib')])\n"
+        "import mstplan\n"
+        "from mstplan.cli import main\n"
+        "loaded()\n"
         "mstplan.graph_fingerprint(mstplan.parse_graph('p wdg 2 1\\ne 0 1 1\\n'))\n"
-        "print([name in sys.modules for name in names])\n"
+        "loaded()\n"
+        f"assert main(['precompute', {str(graph)!r}, '-o', {str(plan)!r}]) == 0\n"
+        f"assert main(['query', {str(plan)!r}, {str(graph)!r}, '--edge', '2', '--x', '3']) == 0\n"
+        "loaded()\n"
+        "print(json.dumps(seen))\n"
     )
     proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[False, False]", "[True, True]"]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[False, False]] * 3
+
+
+def test_fingerprint_falls_back_to_hashlib_without_a_built_in_sha256():
+    g = random_graph(random.Random(4), 40, 120, [3, 50], weights=[0.5, -0.0, 1 / 3] * 53)
+    probe = (
+        "import json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import mstplan\n"
+        f"g = mstplan.parse_graph({format_graph(g)!r})\n"
+        "print(json.dumps([mstplan.graph_fingerprint(g), 'hashlib' in sys.modules]))\n"
+    )
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [reference_fingerprint(g), True]

@@ -16,7 +16,9 @@ from helpers import (
     THRESHOLD8_TEXT,
     TRIANGLE_TEXT,
     plan_sets_equal,
+    random_graph,
     random_pairs,
+    reference_fingerprint,
     tamper_one_weight,
 )
 
@@ -199,8 +201,8 @@ def test_parse_keeps_one_int_per_vertex():
 def mixed_line_ends(lines):
     """``lines`` joined so that ``\r`` and ``\x0c`` ends come just before and
     just after each cut ``parse_graph`` makes, and ``\r\n`` on it; also the
-    indices of the lines that end and start a chunk."""
-    pieces, size, start, last, first = [], 0, 0, [], []
+    indices of the lines that end a chunk."""
+    pieces, size, start, last = [], 0, 0, []
     after = 0  # lines still to end without a \n after a cut
     for i, line in enumerate(lines):
         size += len(line)
@@ -209,38 +211,45 @@ def mixed_line_ends(lines):
         elif size + 2 <= start + _CHUNK - 60:
             end = "\n"
         elif size + 1 < start + _CHUNK:
-            end = "\x0c\r"[i % 2]  # a \n here would not be a cut
+            end = "\x0c\r"[i % 2]  # a break here comes before the cut
         else:
-            end, after = "\r\n", 2  # the first \n at or past start + _CHUNK
+            end, after = "\r\n", 2  # the first break to end past start + _CHUNK
             last.append(i)
-            first.append(i + 1)
             start = size + 2
         pieces.append(line + end)
         size += len(end)
-    return "".join(pieces), last, first
+    return "".join(pieces), last
 
 
 def test_chunk_cuts_keep_lines_and_line_numbers():
     plain = format_graph(generate_graph(4000, 8000, 8, seed=11))
     lines = plain.splitlines()
-    mixed, last, first = mixed_line_ends(lines)
-    assert len(mixed) > 3 * _CHUNK and len(last) >= 3
-    assert mixed.splitlines() == lines
-    # Each chunk runs to the first \n at or past _CHUNK characters into it.
-    cuts, start = [], 0
-    while start := mixed.find("\n", start + _CHUNK) + 1:
-        cuts.append(start)
-    ends = list(itertools.accumulate(map(len, mixed.splitlines(keepends=True))))
-    assert [ends[i] for i in last] == cuts
-    g, want = parse_graph(mixed), parse_graph(plain)
-    assert (g.n, g._u, g._v, g._weight, g.unstable_ids) == (
-        want.n, want._u, want._v, want._weight, want.unstable_ids,
-    )
-    assert graph_fingerprint(g) == graph_fingerprint(want)
-    # A bad line of the same length keeps every cut where it was.
-    for i in last + first:
-        bad, _, _ = mixed_line_ends(lines[:i] + ["q" + lines[i][1:]] + lines[i + 1:])
-        assert graph_syntax_error(bad).line == i + 1
+    want = parse_graph(plain)
+    _, mixed_last = mixed_line_ends(lines)
+    joins = {"mixed": lambda lines: mixed_line_ends(lines)[0]}
+    for end in ("\n", "\r", "\r\n", "\x0c", "\u2028"):
+        joins[repr(end)] = lambda lines, end=end: end.join(lines) + end
+    for name, join in joins.items():
+        text = join(lines)
+        assert len(text) > 3 * _CHUNK and text.splitlines() == lines, name
+        # Each chunk runs to the first line end past _CHUNK characters into it.
+        ends = itertools.accumulate(map(len, text.splitlines(keepends=True)))
+        last, start = [], 0
+        for i, end in enumerate(ends):
+            if end > start + _CHUNK:
+                last.append(i)
+                start = end
+        assert len(last) >= 3 and (name != "mixed" or last == mixed_last), name
+        g = parse_graph(text)
+        assert (g.n, g._u, g._v, g._weight, g.unstable_ids) == (
+            want.n, want._u, want._v, want._weight, want.unstable_ids,
+        ), name
+        assert graph_fingerprint(g) == graph_fingerprint(want), name
+        # A bad line of the same length, last or first in a chunk, keeps
+        # every cut where it was.
+        for i in last + [i + 1 for i in last]:
+            bad = join(lines[:i] + ["q" + lines[i][1:]] + lines[i + 1:])
+            assert graph_syntax_error(bad).line == i + 1, name
 
 
 @pytest.mark.parametrize(
@@ -376,14 +385,6 @@ def test_negative_zero_fingerprints_as_zero(tmp_path):
     assert plan_sets_equal(read_plans(tmp_path / "g.plan", again), ps)
 
 
-def reference_fingerprint(g):
-    m = g.num_edges
-    kinds = bytes(int(eid in g.unstable_ids) for eid in range(m))
-    weights = [w + 0.0 for w in g._weight]
-    fields = struct.pack(f"<{2 * m}q{m}d", *g._u, *g._v, *weights)
-    return {"n": g.n, "edges": m, "sha256": hashlib.sha256(fields + kinds).hexdigest()}
-
-
 def test_fingerprint_takes_array_bytes_or_packs_each_weight():
     # Lowest byte 0x80: after 5e-324 the -0.0 bytes 00 * 7 + 80 span two weights.
     (high,) = struct.unpack("<d", b"\x80" + struct.pack("<d", 3.0)[1:])
@@ -397,6 +398,29 @@ def test_fingerprint_takes_array_bytes_or_packs_each_weight():
         assert (_NEGATIVE_ZERO in g._weight.tobytes()) == (name != "array bytes")
         assert graph_fingerprint(g) == reference_fingerprint(g), name
         assert graph_fingerprint(parse_graph(format_graph(g))) == reference_fingerprint(g), name
+
+
+def test_fingerprint_matches_hashlib_on_random_graphs():
+    # Up to 3 100 edges, 25 bytes each: past 64 KiB hashed. Half the graphs
+    # hold a -0.0 weight, so both ways of taking weight bytes run.
+    rng = random.Random(20)
+    packed = set()
+    draws = [
+        lambda: float(rng.randint(1, 9)),
+        lambda: rng.uniform(-1e6, 1e6),
+        lambda: rng.choice([1e-300, 1e300, -2.5, 0.1, 1 / 3]),
+    ]
+    for extra in (0, 1, 5, 60, 700, 3000):
+        for negative_zero in (False, True):
+            n = rng.randint(2, 100)
+            m = n - 1 + extra
+            weights = [rng.choice(draws)() for _ in range(m)]
+            if negative_zero:
+                weights[rng.randrange(m)] = -0.0
+            g = random_graph(rng, n, extra, rng.sample(range(m), min(m, 4)), weights=weights)
+            assert graph_fingerprint(g) == reference_fingerprint(g), (m, negative_zero)
+            packed.add((extra, _NEGATIVE_ZERO in g._weight.tobytes()))
+    assert {(3000, False), (3000, True)} <= packed
 
 
 # --------------------------------------------------------------------------
