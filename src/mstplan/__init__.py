@@ -36,7 +36,6 @@ from .errors import (
     NotUnstableError,
     PlanFormatError,
     SelfLoopError,
-    StablePlanMissingError,
     StalePlanSetError,
     TooLargeError,
     UnknownEdgeError,
@@ -118,7 +117,6 @@ __all__ = [
     "Selection",
     "SelfLoopError",
     "SpanningTree",
-    "StablePlanMissingError",
     "StalePlanSetError",
     "TooLargeError",
     "TreeCatalog",

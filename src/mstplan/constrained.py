@@ -86,20 +86,18 @@ class SpanningTree:
     def __eq__(self, other):
         if not isinstance(other, SpanningTree):
             return NotImplemented
+        if self._base is other._base:  # O(k): the trees differ in their parts only
+            same_ids = self._part == other._part
+        else:
+            same_ids = self.edge_ids == (other._base | other._part)
         return (
             self.stable_sum == other.stable_sum
             and self.unstable_members == other.unstable_members
-            and not self._traded(other._base, other._part)
+            and same_ids
         )
 
     def __hash__(self):
         return hash(self.edge_ids)
-
-    def _traded(self, base: frozenset[int], part: frozenset[int]) -> frozenset[int]:
-        """Ids in this tree or in ``base | part``, not both; O(k) on this tree's base."""
-        if self._base is base:
-            return self._part ^ part
-        return self.edge_ids ^ (base | part)
 
     @classmethod
     def from_edge_ids(
@@ -140,15 +138,15 @@ def constrained_mst_kruskal(
     constraints.validate(g)
     # A list: a sort key that boxes one float per id from the array is slower.
     u, v, weight = g._u, g._v, g._weight.tolist()
-    parent = list(range(g.n))
+    parent, size = list(range(g.n)), [1] * g.n
     mandatory = sorted(constraints.mandatory)
-    chosen = _kruskal(mandatory, u, v, parent, len(mandatory))
+    chosen = _kruskal(mandatory, u, v, parent, size, len(mandatory))
     if len(chosen) != len(mandatory):
         return Infeasible(MANDATORY_CYCLE)
     skip = constraints.mandatory | constraints.forbidden
     # A stable sort of ascending ids keeps equal weights in id order.
     order = sorted(filterfalse(skip.__contains__, range(len(weight))), key=weight.__getitem__)
-    chosen += _kruskal(order, u, v, parent, g.n - 1 - len(chosen))
+    chosen += _kruskal(order, u, v, parent, size, g.n - 1 - len(chosen))
     if len(chosen) != g.n - 1:
         return Infeasible(FORBIDDEN_DISCONNECTS)
     return SpanningTree.from_edge_ids(g, chosen)

@@ -46,14 +46,6 @@ class StalePlanSetError(Error):
     """A plan set was built on another graph or at other unstable values."""
 
 
-class StablePlanMissingError(Error):
-    """Selection fell on the stable side of a plan that has no stable tree.
-
-    Unreachable for plans built by this package: an absent stable tree forces
-    the critical value to +inf, so selection always takes the variable side.
-    """
-
-
 class TooLargeError(Error):
     """The instance exceeds the exhaustive-enumeration size cap."""
 

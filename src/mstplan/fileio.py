@@ -24,16 +24,14 @@ weight of ``-0.0`` is hashed as ``0.0``, as the graph text writes both as
 ``0``. The hash is the interpreter's built-in SHA-256, whose digest is
 OpenSSL's, so no process of the package maps OpenSSL. The stored ``d_s``
 and ``s_v`` are correctly rounded sums of their trees' weights
-(``math.fsum``), so they do not depend on the order the edges are added
-in. A plan set is a function of its graph, so a load builds the
-plans afresh and refuses a file that is not what the writer gives for them:
-every tree and total is checked, minimality included. The writer refuses a
-plan set that is not the graph's minimum spanning tree plus one swap per
-unstable edge, with its trees' totals at the graph's values. Files of earlier
+(``math.fsum``), and ``cv`` is the swap's weight. A plan set is a function
+of its graph, so the writer and the loader both build it with
+:func:`precompute_all` and compare: the writer refuses a set whose trees or
+totals differ, and the loader a file that differs in any field from what the
+writer gives for the built set, minimality included. Files of earlier
 formats, version 2 with its text-hash fingerprint or without a version, are
-refused: re-run ``precompute``. So is a file with non-integer weights written
-by an earlier version that added totals edge by edge, when a total misses by
-an ulp.
+refused: re-run ``precompute``. So is a file with non-integer weights whose
+``cv`` an earlier version wrote as the rounded ``d_s - s_v``.
 
 Event streams are lines ``<seq> <edge_id> <new_x>`` with strictly
 increasing sequence numbers, one weight change per line.
@@ -45,6 +43,7 @@ import functools
 import json
 import marshal
 import math
+import operator
 import random
 import re
 import struct
@@ -53,7 +52,6 @@ from array import array
 from pathlib import Path
 from typing import NamedTuple
 
-from .constrained import _total_at
 from .errors import (
     Error,
     EventSyntaxError,
@@ -69,7 +67,7 @@ from .graph import (
     build_graph,
     unstable_values,
 )
-from .plans import EdgePlan, PlanSet, _minimum_tree, precompute_all
+from .plans import PlanSet, _swap, precompute_all
 
 
 def format_value(value: float) -> str:
@@ -286,38 +284,29 @@ def graph_fingerprint(g: WeaklyDynamicGraph) -> dict:
 
 
 _PLAN_FORMAT = 3
-# A graph without unstable edges has no plans, and its file no tree.
-_NO_TREE = (frozenset(), frozenset())
 
 
 def plans_to_json(ps: PlanSet, g: WeaklyDynamicGraph) -> str:
     """Serialize a plan set computed from ``g`` (at ``g``'s current values).
 
     The file holds the graph's minimum spanning tree plus each plan's swap,
-    so a plan set not built at ``g``'s values, or not that tree plus one swap
-    per unstable edge with its trees' totals at them, is refused with
-    :class:`PlanFormatError` before anything is written.
+    so a plan set not built at ``g``'s values, or whose trees or totals are
+    not those :func:`precompute_all` builds from ``g``, is refused with
+    :class:`PlanFormatError` before anything is written. Each ``cv`` is
+    written as its plan holds it; the loader checks it.
     """
-    values = unstable_values(g)
-    if dict(ps.snapshot) != values:
-        raise PlanFormatError(
-            "plan set was built at other unstable values than the graph holds"
-        )
+    if dict(ps.snapshot) != unstable_values(g):
+        raise PlanFormatError("plan set was built at other unstable values than the graph holds")
     _refuse_cover(ps.plans, g.unstable_ids)
-    forced, part = _minimum_tree(g, values) if g.unstable_ids else _NO_TREE
-    records = [_encode_plan(ps.plans[eid], forced, part) for eid in sorted(ps.plans)]
+    built = precompute_all(g).plans
+    trees_and_totals = operator.attrgetter("mst_s", "mst_v", "d_s", "s_v")
     for eid, plan in sorted(ps.plans.items()):
-        d_s = math.inf if plan.mst_s is None else _total_at(plan.mst_s, values)
-        if (plan.d_s, plan.s_v) != (d_s, _total_at(plan.mst_v, values, exclude=eid)):
+        if trees_and_totals(plan) != trees_and_totals(built[eid]):
             raise PlanFormatError(
-                f"edge {eid}: d_s and s_v are not its trees' totals at the graph's values"
+                f"edge {eid}: plan is not the graph's minimum spanning tree plus one swap, "
+                "with its trees' totals at the graph's values"
             )
-    doc = {
-        "version": _PLAN_FORMAT,
-        "fingerprint": graph_fingerprint(g),
-        "tree": sorted(forced | part),
-        "plans": records,
-    }
+    doc = _document(ps, g, graph_fingerprint(g))
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
@@ -329,27 +318,29 @@ def _refuse_cover(covered, unstable) -> None:
         )
 
 
-def _encode_plan(plan: EdgePlan, forced: frozenset, tree: frozenset) -> dict:
-    """The record of ``plan``, whose trees must be ``forced | tree`` and a swap of it.
+def _document(ps: PlanSet, g: WeaklyDynamicGraph, fingerprint: dict) -> dict:
+    """The plan file of ``ps``, a set built from ``g``, as a JSON object.
 
-    ``tree`` is a kernel part, so trees of the kernel trade parts, in O(k).
+    Every plan holds the minimum tree, as ``mst_v`` when its edge ranks
+    before its swap in ``(weight, id)`` order and as ``mst_s`` otherwise; a
+    graph without unstable edges has no plans, and its file no tree.
     """
-    eid = plan.edge_id
-    in_tree = eid in tree
-    own, other = (plan.mst_v, plan.mst_s) if in_tree else (plan.mst_s, plan.mst_v)
-    traded = frozenset() if other is None else other._traded(forced, tree)
-    # The other tree trades the edge for one swap; a bridge has no other tree.
-    shaped = in_tree if other is None else len(traded) == 2 and eid in traded
-    if own is None or own._traded(forced, tree) or not shaped:
-        raise PlanFormatError(
-            f"edge {eid}: plan is not the graph's minimum spanning tree plus one swap"
-        )
+    values, tree, records = ps.snapshot, None, []
+    for eid, plan in sorted(ps.plans.items()):
+        swap = _swap(g, values, plan.mst_s, plan.mst_v)
+        tree = plan.mst_v if (values[eid], eid) < swap else plan.mst_s
+        records.append({
+            "edge": eid,
+            "swap": swap[1],
+            "d_s": "inf" if math.isinf(plan.d_s) else plan.d_s,
+            "s_v": plan.s_v,
+            "cv": "inf" if math.isinf(plan.cv) else plan.cv,
+        })
     return {
-        "edge": eid,
-        "swap": min(traded - {eid}, default=None),
-        "d_s": "inf" if math.isinf(plan.d_s) else plan.d_s,
-        "s_v": plan.s_v,
-        "cv": "inf" if math.isinf(plan.cv) else plan.cv,
+        "version": _PLAN_FORMAT,
+        "fingerprint": fingerprint,
+        "tree": [] if tree is None else sorted(tree._base | tree._part),
+        "plans": records,
     }
 
 
@@ -398,10 +389,10 @@ def plans_from_json(text: str, g: WeaklyDynamicGraph) -> PlanSet:
         raise PlanFormatError("missing plans array")
 
     ps = precompute_all(g)
-    forced, part = _minimum_tree(g, ps.snapshot) if g.unstable_ids else _NO_TREE
-    if _canon(doc.get("tree")) != _canon(sorted(forced | part)):
+    want = _document(ps, g, expected)
+    if _canon(doc.get("tree")) != _canon(want["tree"]):
         raise PlanFormatError(f"tree is not the graph's minimum spanning tree; {_RERUN}")
-    wanted = {eid: _encode_plan(plan, forced, part) for eid, plan in ps.plans.items()}
+    wanted = {record["edge"]: record for record in want["plans"]}
     seen = set()
     for record in records:
         if not isinstance(record, dict):

@@ -88,12 +88,12 @@ class DisjointSetUnion:
         return True
 
 
-def _kruskal(order: Iterable[int], u, v, parent: list[int], need: int) -> list[int]:
+def _kruskal(order: Iterable[int], u, v, parent, size, need: int) -> list[int]:
     """Ids of ``order`` that join two sets of ``parent``, until ``need`` have.
 
-    Edge ``eid`` joins ``u[eid]`` and ``v[eid]``; ``parent`` is updated in
-    place. The union-find is inlined: this loop is most of a kernel build
-    and of a graph's connectivity check.
+    Edge ``eid`` joins ``u[eid]`` and ``v[eid]``; ``parent`` and ``size`` (of
+    each root's set) are updated in place. The union-find, path halving and
+    union by size, is inlined: this loop is most of a kernel build.
     """
     tree: list[int] = []
     if need <= 0:
@@ -108,7 +108,10 @@ def _kruskal(order: Iterable[int], u, v, parent: list[int], need: int) -> list[i
             parent[b] = parent[parent[b]]
             b = parent[b]
         if a != b:
-            parent[a] = b
+            if size[a] < size[b]:
+                a, b = b, a
+            parent[b] = a
+            size[a] += size[b]
             tree.append(eid)
             if len(tree) == need:
                 break
@@ -166,9 +169,9 @@ class Kernel:
 
     def spanning(self, order: Iterable[int]) -> list[int] | None:
         """Kernel edges of ``order`` Kruskal takes; None if they do not span the kernel."""
-        need = self.supers - 1
-        tree = _kruskal(order, self._u, self._v, list(range(self.supers)), need)
-        return tree if len(tree) == need else None
+        supers = self.supers
+        tree = _kruskal(order, self._u, self._v, list(range(supers)), [1] * supers, supers - 1)
+        return tree if len(tree) == supers - 1 else None
 
 
 def _build_kernel(g: "WeaklyDynamicGraph") -> Kernel:
@@ -179,16 +182,16 @@ def _build_kernel(g: "WeaklyDynamicGraph") -> Kernel:
     # A stable sort of ascending ids keeps equal weights in id order. It reads
     # a list: a key that boxes one float per id from the array is slower.
     stable.sort(key=weight.tolist().__getitem__)
-    parent = list(range(n))
-    joined = _kruskal(g.unstable_ids, u, v, parent, n - 1)
-    forced = _kruskal(stable, u, v, parent, n - 1 - len(joined))
+    parent, size = list(range(n)), [1] * n
+    joined = _kruskal(g.unstable_ids, u, v, parent, size, n - 1)
+    forced = _kruskal(stable, u, v, parent, size, n - 1 - len(joined))
     if len(joined) + len(forced) < n - 1:
         raise _disconnected(n)
-    parent = list(range(n))
-    _kruskal(forced, u, v, parent, len(forced))
+    parent, size = list(range(n)), [1] * n
+    _kruskal(forced, u, v, parent, size, len(forced))
     contracted = list(parent)  # a root per component of ``forced``
     supers = n - len(forced)
-    kernel_stable = _kruskal(stable, u, v, parent, supers - 1)
+    kernel_stable = _kruskal(stable, u, v, parent, size, supers - 1)
     index: dict[int, int] = {}  # component root -> super-vertex
 
     def super_of(x: int) -> int:
@@ -352,7 +355,7 @@ def is_connected(g: WeaklyDynamicGraph, excluded: frozenset[int] | set[int]) -> 
     for eid in excluded:
         g._check_edge(eid)
     kept = filterfalse(excluded.__contains__, range(g.num_edges))
-    return len(_kruskal(kept, g._u, g._v, list(range(g.n)), g.n - 1)) == g.n - 1
+    return len(_kruskal(kept, g._u, g._v, list(range(g.n)), [1] * g.n, g.n - 1)) == g.n - 1
 
 
 def set_unstable_weight(

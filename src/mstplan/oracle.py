@@ -3,8 +3,9 @@
 Everything here is deliberately naive so it can be audited at a glance:
 spanning trees are found by trying every (n-1)-subset of the edge ids, the
 constrained minimum is a filter over that catalog, and the critical value of
-an unstable edge is the difference of two catalog minima. None of it shares
-code with the production algorithms beyond the graph types.
+an unstable edge is the exact (``Fraction``) difference of two catalog minima,
+rounded once. None of it shares code with the production algorithms beyond
+the graph types.
 
 The catalog has its own independent completeness check:
 :func:`count_spanning_trees` evaluates the Kirchhoff (matrix-tree) determinant
@@ -15,6 +16,7 @@ without trusting the enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from math import fsum, inf
 
@@ -111,8 +113,8 @@ def brute_critical_value(g: WeaklyDynamicGraph, edge_id: int) -> float:
 
     ``A`` is the cheapest total over trees avoiding the edge (current values
     for everything else); ``B`` is the cheapest total over trees containing it
-    with the edge's own value left out. The threshold is ``A - B``, or +inf
-    when every spanning tree needs the edge.
+    with the edge's own value left out. The threshold is the float nearest
+    the exact ``A - B``, or +inf when every spanning tree needs the edge.
     """
     e = g.edge(edge_id)
     if e.kind is not EdgeKind.UNSTABLE:
@@ -123,17 +125,13 @@ def brute_critical_value(g: WeaklyDynamicGraph, edge_id: int) -> float:
 def _critical_value(catalog: TreeCatalog, edge_id: int) -> float:
     """:func:`brute_critical_value` of an unstable edge, from its graph's catalog."""
     edges = catalog.graph.edges
-    avoid_min = inf
-    contain_min = inf
+    avoid, contain = [], []
     for tree in catalog.trees:
-        if edge_id in tree:
-            part = fsum(edges[i].weight for i in tree if i != edge_id)
-            contain_min = min(contain_min, part)
-        else:
-            avoid_min = min(avoid_min, catalog_total(catalog, tree))
-    if contain_min is inf:
+        total = sum(Fraction(edges[i].weight) for i in tree if i != edge_id)
+        (contain if edge_id in tree else avoid).append(total)
+    if not contain:
         raise Error(f"no spanning tree contains edge {edge_id}; graph corrupt")
-    return avoid_min - contain_min
+    return float(min(avoid) - min(contain)) if avoid else inf
 
 
 def max_weight_on_tree_path(

@@ -4,9 +4,11 @@ For one unstable edge the answer to "what is the minimum spanning tree right
 now?" only ever has two shapes: the best tree that avoids the edge (its total
 ``d_s`` is a constant) and the best tree that contains it (its total is
 ``s_v + x`` where ``x`` is the current value and ``s_v`` the fixed rest).
-The crossover sits at ``cv = d_s - s_v``. Both trees and the threshold are
-computed once; after that, any new value of ``x`` is answered by a single
-comparison with no graph work at all.
+The two trees differ by one swap, so the exact crossover ``d_s - s_v`` is
+the weight of the edge the other tree trades, which the graph holds as a
+float: that weight is the threshold ``cv``, exact. Both trees and the
+threshold are computed once; after that, any new value of ``x`` is answered
+by a single comparison with no graph work at all.
 
 Both trees come from the graph's kernel (:class:`~mstplan.graph.Kernel`):
 at any values, a minimum spanning tree under the ``(weight, id)`` order is
@@ -46,7 +48,6 @@ from .errors import (
     FrozenIncompleteError,
     NonFiniteWeightError,
     NotUnstableError,
-    StablePlanMissingError,
     StalePlanSetError,
 )
 from .graph import (
@@ -71,9 +72,9 @@ class EdgePlan:
     ``mst_s`` is None and ``d_s`` is +inf when the edge is a bridge.
     ``mst_v``/``s_v``: best tree containing the edge and the fixed part of its
     total, so the full total is ``s_v + x``.
-    ``cv``: the threshold ``d_s - s_v``.
-    It stores no values: it is exact at its set's :attr:`PlanSet.snapshot`,
-    or at :func:`precompute_plan`'s ``frozen``.
+    ``cv``: the threshold, the exact ``d_s - s_v``: the weight of the edge its
+    two trees trade (+inf for a bridge). It stores no values: it is exact at
+    its set's :attr:`PlanSet.snapshot`, or at :func:`precompute_plan`'s ``frozen``.
     """
 
     edge_id: int
@@ -82,10 +83,13 @@ class EdgePlan:
     mst_v: SpanningTree
     s_v: float
     cv: float
-    # The answer on the stable side, built once so selection only returns it.
+    # The answer on the stable side, built once so selection only returns it;
+    # None for a bridge, whose cv no finite x reaches.
     _stable: Selection | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.mst_s is None and self.cv != math.inf:
+            raise Error(f"edge {self.edge_id}: a plan without a stable tree needs cv = inf")
         stable = None if self.mst_s is None else Selection(_STABLE, self.d_s, self.mst_s)
         object.__setattr__(self, "_stable", stable)
 
@@ -130,16 +134,15 @@ def _kernel_order(g: WeaklyDynamicGraph, values: Mapping[int, float]) -> list[in
     return [eid for _, eid in sorted(pairs)]
 
 
-def _minimum_tree(
-    g: WeaklyDynamicGraph, values: Mapping[int, float]
-) -> tuple[frozenset[int], frozenset[int]]:
-    """The graph's minimum spanning tree, unstable edges at ``values``.
-
-    It is the kernel's forced edges plus a part of kernel edges, returned
-    as these two sets; every plan built at ``values`` holds it.
-    """
-    kernel = g.kernel()
-    return kernel.forced, frozenset(kernel.spanning(_kernel_order(g, values)))
+def _swap(g: WeaklyDynamicGraph, values: Mapping, mst_s, mst_v) -> tuple:
+    """``(weight, id)`` at ``values`` of a plan's swap, in mst_s but not mst_v, or (inf, None)."""
+    if mst_s is None:
+        return math.inf, None
+    shared = mst_s._base is mst_v._base  # then they differ in parts; a loop beats a set op
+    other = mst_v._part if shared else mst_v.edge_ids
+    for swap in mst_s._part if shared else mst_s.edge_ids:
+        if swap not in other:
+            return values.get(swap, g._weight[swap]), swap
 
 
 def _kernel_tree(g: WeaklyDynamicGraph, part: list[int], known: dict) -> SpanningTree:
@@ -183,7 +186,8 @@ def _build_plans(
             mst_s, d_s = tree, total
             mst_v = _kernel_tree(g, kernel.spanning([eid, *taken]), known)
         s_v = _total_at(mst_v, values, exclude=eid)
-        plans[eid] = EdgePlan(eid, mst_s, d_s, mst_v, s_v, d_s - s_v)
+        cv = _swap(g, values, mst_s, mst_v)[0]  # the exact d_s - s_v
+        plans[eid] = EdgePlan(eid, mst_s, d_s, mst_v, s_v, cv)
     return plans
 
 
@@ -215,13 +219,12 @@ def select_tree(plan: EdgePlan, x: float) -> Selection:
     """Pick the best precomputed tree for value ``x``. Constant time.
 
     Below the threshold the variable tree wins with total ``s_v + x``; at or
-    above it the stable tree wins with total ``d_s``. ``d_s`` and ``s_v``
-    are correctly rounded sums of their trees' weights, whatever the order
-    of the edges; ``s_v + x`` is one more rounding. The decision is
-    ``x < cv``, so the tree chosen can be heavier than the other by about an
-    ulp of the larger total, however small ``cv`` is (never with integer
-    sums below 2**53). Where the total is ``s_v + x``, an int past the float
-    range and a finite ``x`` whose total overflows to an infinity raise
+    above it the stable tree wins with total ``d_s``. ``cv`` is the exact
+    crossover, so the tree chosen is a minimum one at ``x``, a tie going to
+    the stable tree. ``d_s`` and ``s_v`` are correctly rounded sums of their
+    trees' weights, whatever the order of the edges; ``s_v + x`` is one more
+    rounding. Where the total is ``s_v + x``, an int past the float range
+    and a finite ``x`` whose total overflows to an infinity raise
     ``NonFiniteWeightError``.
     """
     # Each branch checks one number for finiteness: the variable branch its
@@ -240,12 +243,7 @@ def select_tree(plan: EdgePlan, x: float) -> Selection:
             )
     if x - x != 0.0:  # 0.0 only for finite x; NaN and both infinities fail
         raise NonFiniteWeightError(f"query value must be finite, got {x!r}")
-    stable = plan._stable
-    if stable is None:
-        raise StablePlanMissingError(
-            f"plan for edge {plan.edge_id} has no stable tree yet x >= cv"
-        )
-    return stable
+    return plan._stable
 
 
 def precompute_all(g: WeaklyDynamicGraph) -> PlanSet:

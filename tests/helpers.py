@@ -6,6 +6,7 @@ import hashlib
 import math
 import random
 import struct
+from fractions import Fraction
 
 from mstplan import (
     Constraints,
@@ -172,17 +173,18 @@ def reference_plans(g) -> PlanSet:
             mst_v = constrained_mst_kruskal(
                 g, Constraints(mandatory={eid}, forbidden=outside)
             )
-        d_s = math.inf if mst_s is None else tree_total_weight(mst_s, g)
         s_v = tree_total_weight(mst_v, g, exclude=eid)
-        plans[eid] = EdgePlan(
-            edge_id=eid,
-            mst_s=mst_s,
-            d_s=d_s,
-            mst_v=mst_v,
-            s_v=s_v,
-            cv=d_s - s_v,
-        )
+        if mst_s is None:
+            d_s = cv = math.inf
+        else:  # cv: the exact difference of the two trees' totals, rounded once
+            d_s = tree_total_weight(mst_s, g)
+            cv = float(_exact_total(g, mst_s) - _exact_total(g, mst_v, eid))
+        plans[eid] = EdgePlan(eid, mst_s, d_s, mst_v, s_v, cv)
     return PlanSet(plans=plans, snapshot=unstable_values(g))
+
+
+def _exact_total(g, tree, exclude=None) -> Fraction:
+    return sum(Fraction(g.weight(f)) for f in tree.edge_ids if f != exclude)
 
 
 def reference_fingerprint(g) -> dict:

@@ -57,6 +57,7 @@ from mstplan import (
     write_plans,
 )
 from mstplan.fileio import _CHUNK, _NEGATIVE_ZERO
+from mstplan.graph import Kernel
 
 
 def test_format_value():
@@ -930,12 +931,53 @@ def test_writer_refuses_what_is_not_one_tree_plus_swaps(tmp_path, multi3):
     # edge 5, so its d_s is stated at 4.5, not at the graph's 7.
     _, moved = apply_change(ps, multi3.copy(), 5, 4.5)
     assert moved.plans[4].d_s != ps.plans[4].d_s
-    refused({**ps.plans, 4: moved.plans[4]}, "^edge 4: d_s and s_v are not its trees' totals")
+    totals = "^edge 4: plan is not .* one swap, with its trees' totals at the graph's values$"
+    refused({**ps.plans, 4: moved.plans[4]}, totals)
     refused(dict(ps.plans), "other unstable values", snapshot={4: 2.0, 5: 7.0, 6: 0.0})
     # A set without a plan for every unstable edge.
     cover = r"^plans cover edges \[{}\], graph's unstable edges are \[4, 5, 6\]$"
     refused({4: ps.plans[4]}, cover.format("4"))
     refused({}, cover.format(""))
+
+
+def test_writer_and_loader_each_run_precompute_alls_kruskals(monkeypatch):
+    # Both build the set with precompute_all, one kernel Kruskal for the
+    # minimum tree and one per plan, and read the tree off the built plans.
+    # Before they did, the writer ran 1 Kruskal and the loader k + 2.
+    rng = random.Random(2178)
+    unstable = rng.sample(range(29 + 60), 5)
+    g = random_graph(rng, 30, 60, unstable=unstable)
+    ps = precompute_all(g)
+    calls = []
+    spanning = Kernel.spanning
+
+    def counted(kernel, order):
+        calls.append(order)
+        return spanning(kernel, order)
+
+    monkeypatch.setattr(Kernel, "spanning", counted)
+    text = plans_to_json(ps, g)
+    assert len(calls) == len(unstable) + 1
+    calls.clear()
+    plans_from_json(text, g)
+    assert len(calls) == len(unstable) + 1
+
+
+def test_plan_files_keep_their_bytes():
+    # Integer weights: every total and threshold is exact, so a change to
+    # how plans are built, checked or written must leave these files as
+    # they are, byte for byte, as built and after a seeded change chain.
+    g = generate_graph(400, 800, 6, 3)
+    ps = precompute_all(g)
+
+    def digest():
+        return hashlib.sha256(plans_to_json(ps, g).encode()).hexdigest()
+
+    assert digest() == "e55148fc7903aaa79fdec69e7c376b7c5505bee2e493afaee19131fbdb286ac7"
+    rng = random.Random(3)
+    for _ in range(20):
+        _, ps = apply_change(ps, g, rng.choice(g.unstable_ids), float(rng.randint(1, 10**6)))
+    assert digest() == "fa50958c52f7707e9d590c77eeb0ef865b036b95be9bbb47da86dc61d2bfb812"
 
 
 def test_random_plan_files_round_trip_and_survive_swap_tampering():

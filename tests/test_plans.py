@@ -5,6 +5,7 @@ import math
 import random
 import sys
 from collections.abc import Mapping
+from fractions import Fraction
 
 import pytest
 from helpers import (
@@ -29,7 +30,6 @@ from mstplan import (
     PlanFormatError,
     PlanSet,
     SpanningTree,
-    StablePlanMissingError,
     StalePlanSetError,
     TreeKind,
     UnknownEdgeError,
@@ -132,12 +132,13 @@ def test_bridge_selection_always_variable(bridge4):
 
 
 def test_stable_plan_missing_is_reported(triangle):
+    # Refused when the plan is built: only a bridge has no stable tree, and
+    # no finite x reaches its cv of inf.
     tree = precompute_plan(triangle, 2, {}).mst_v
-    broken = EdgePlan(
-        edge_id=2, mst_s=None, d_s=math.inf, mst_v=tree, s_v=1.0, cv=3.0
-    )
-    with pytest.raises(StablePlanMissingError):
-        select_tree(broken, 4.0)
+    with pytest.raises(Error, match="^edge 2: a plan without a stable tree needs cv = inf$"):
+        EdgePlan(edge_id=2, mst_s=None, d_s=math.inf, mst_v=tree, s_v=1.0, cv=3.0)
+    bridge = EdgePlan(edge_id=2, mst_s=None, d_s=math.inf, mst_v=tree, s_v=1.0, cv=math.inf)
+    assert select_tree(bridge, 4.0).chosen is TreeKind.VARIABLE
 
 
 def test_selection_needs_no_graph(threshold8):
@@ -343,9 +344,7 @@ def test_a_change_to_the_threshold_plans_from_the_id_ordered_tree(edge_first):
     cv = ps.plans[eid].cv
     assert cv == 5.0
     _, rebuilt = apply_change(ps, g, eid, cv)
-    forced, part = plans_module._minimum_tree(g, rebuilt.snapshot)
     tree = constrained_mst_kruskal(g).edge_ids
-    assert forced | part == tree
     assert (eid in tree) is edge_first
     for plan in rebuilt.plans.values():
         own = plan.mst_v if plan.edge_id in tree else plan.mst_s
@@ -664,7 +663,7 @@ def test_totals_are_correctly_rounded_sums_of_the_tree_weights():
             ],
         )
         ps = precompute_all(g)
-        if g.num_edges <= 12:  # the oracle sums each catalog tree by fsum too
+        if g.num_edges <= 12:  # the oracle's exact threshold
             for eid, plan in ps.plans.items():
                 assert plan.cv == brute_critical_value(g, eid)
                 oracled += 1
@@ -941,6 +940,49 @@ def test_threshold_agrees_with_enumeration_small():
         g = random_graph(rng, n, extra, unstable={eid})
         plan = precompute_all(g).plans[eid]
         assert plan.cv == brute_critical_value(g, eid)
+
+
+def test_every_answer_beside_the_threshold_is_a_minimum_tree():
+    # Decimal and thirds weights, with 1e16 in half the graphs, where two
+    # rounded totals' difference misses the exact crossover x* = D_s - S_v.
+    # cv is x* itself, the weight of the plan's swap, so each answer at cv,
+    # one ulp either side of it and at float(x*) is a minimum spanning tree
+    # by exact Fraction totals over the catalog.
+    rng = random.Random(1982)
+    pool = (0.1, 0.2, 0.3, 0.7, 1 / 3, 2 / 3, 1.1, 2.2, 3.3)
+    answers = 0
+    for trial in range(400):
+        n = rng.randint(3, 7)
+        pairs = random_pairs(rng, n, rng.randint(1, 4))
+        weights = [rng.choice(pool) for _ in pairs]
+        if trial % 2:
+            weights[rng.randrange(len(weights))] = 1e16
+        unstable = rng.sample(range(len(pairs)), rng.randint(1, 3))
+        g = build_graph(
+            n,
+            [
+                (u, v, w, "unstable" if i in unstable else "stable")
+                for i, ((u, v), w) in enumerate(zip(pairs, weights))
+            ],
+        )
+        trees = enumerate_spanning_trees(g).trees
+        ps = precompute_all(g)
+        for eid, plan in ps.plans.items():
+            if plan.mst_s is None:
+                continue  # a bridge: one tree, nothing to decide
+
+            def exact(ids, x):
+                return sum(Fraction(x if f == eid else g.weight(f)) for f in ids)
+
+            d_s = min(exact(t, 0) for t in trees if eid not in t)
+            x_star = d_s - min(exact(t, 0) for t in trees if eid in t)
+            assert plan.cv == x_star
+            for x in (plan.cv, math.nextafter(plan.cv, -math.inf),
+                      math.nextafter(plan.cv, math.inf), float(x_star)):
+                chosen = select_tree(plan, x).tree.edge_ids
+                assert exact(chosen, x) == min(exact(t, x) for t in trees)
+                answers += 1
+    assert answers > 1500
 
 
 def test_swapped_trees_match_independent_searches():
