@@ -138,15 +138,15 @@ def constrained_mst_kruskal(
     constraints.validate(g)
     # A list: a sort key that boxes one float per id from the array is slower.
     u, v, weight = g._u, g._v, g._weight.tolist()
-    parent, size = list(range(g.n)), [1] * g.n
+    parent = list(range(g.n))
     mandatory = sorted(constraints.mandatory)
-    chosen = _kruskal(mandatory, u, v, parent, size, len(mandatory))
+    chosen = _kruskal(mandatory, u, v, parent, len(mandatory))
     if len(chosen) != len(mandatory):
         return Infeasible(MANDATORY_CYCLE)
     skip = constraints.mandatory | constraints.forbidden
     # A stable sort of ascending ids keeps equal weights in id order.
     order = sorted(filterfalse(skip.__contains__, range(len(weight))), key=weight.__getitem__)
-    chosen += _kruskal(order, u, v, parent, size, g.n - 1 - len(chosen))
+    chosen += _kruskal(order, u, v, parent, g.n - 1 - len(chosen))
     if len(chosen) != g.n - 1:
         return Infeasible(FORBIDDEN_DISCONNECTS)
     return SpanningTree.from_edge_ids(g, chosen)

@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+import mstplan.graph as graph_module
 from mstplan import (
     DisconnectedGraphError,
     DisjointSetUnion,
@@ -137,10 +138,14 @@ def test_too_few_edges_to_connect_are_refused_before_the_kernel(monkeypatch):
 
 
 def test_unknown_edge_lookup(triangle):
-    with pytest.raises(UnknownEdgeError):
-        triangle.edge(3)
-    with pytest.raises(UnknownEdgeError):
-        triangle.edge(-1)
+    # An id is an int in range: 2.0 and "1" name no edge, though 2 and 1 do.
+    for bad in (3, -1, 1.5, 2.0, "1"):
+        with pytest.raises(UnknownEdgeError):
+            triangle.edge(bad)
+        with pytest.raises(UnknownEdgeError):
+            triangle.weight(bad)
+        with pytest.raises(UnknownEdgeError):
+            is_connected(triangle, {bad})
 
 
 def test_is_connected_with_exclusions(triangle):
@@ -256,6 +261,63 @@ def test_dsu_tracks_components():
             merges += did
             assert dsu.find(a) == dsu.find(b)
         assert dsu.components == n - merges
+
+
+def _dsu_kruskal(order, u, v, dsu, need):
+    """What ``graph._kruskal`` returns, driven by ``DisjointSetUnion``."""
+    tree = []
+    for eid in order if need > 0 else ():
+        if dsu.union(u[eid], v[eid]):
+            tree.append(eid)
+            if len(tree) == need:
+                break
+    return tree
+
+
+def _partition(n, root):
+    blocks = {}
+    for x in range(n):
+        blocks.setdefault(root(x), set()).add(x)
+    return sorted(map(sorted, blocks.values()))
+
+
+def _kruskal_cases(rng):
+    """``(n, u, v, order)``: random multigraphs, then paths, stars and a caterpillar."""
+    for _ in range(150):
+        n = rng.randint(1, 25)
+        ends = [rng.sample(range(n), 2) for _ in range(rng.randint(0, 3 * n) if n > 1 else 0)]
+        order = list(range(len(ends)))
+        rng.shuffle(order)
+        yield n, [a for a, _ in ends], [b for _, b in ends], order
+    n = 60
+    path = list(range(n - 1))
+    yield n, path, [x + 1 for x in path], path  # ascending weight order
+    yield n, path, [x + 1 for x in path], path[::-1]  # descending
+    yield n, [n - 1] * (n - 1), path, path  # star on the highest index
+    yield n, [0] * (n - 1), [x + 1 for x in path], path  # star on the lowest
+    spine = n // 3  # a path with two legs on each of its vertices
+    legs = [spine + x for x in range(n - spine)]
+    u = list(range(spine - 1)) + [x % spine for x in range(n - spine)]
+    v = list(range(1, spine)) + legs
+    yield n, u, v, rng.sample(range(n - 1), n - 1)
+
+
+def test_kruskal_takes_the_edges_and_makes_the_sets_of_a_union_find():
+    # As _build_kernel does, a second call goes on with the first's parent list.
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    rng = random.Random(23)
+    for n, u, v, order in _kruskal_cases(rng):
+        parent, dsu = list(range(n)), DisjointSetUnion(n)
+        cut = rng.randint(0, len(order))
+        for part in (order[:cut], order[cut:]):
+            need = rng.randint(-1, n)
+            got = graph_module._kruskal(part, u, v, parent, need)
+            assert got == _dsu_kruskal(part, u, v, dsu, need)
+            assert _partition(n, root) == _partition(n, dsu.find)
 
 
 def _columns(g):

@@ -271,8 +271,12 @@ def test_apply_change_validation(triangle):
     ps = precompute_all(triangle)
     with pytest.raises(NotUnstableError):
         apply_change(ps, triangle, 0, 2.0)
-    with pytest.raises(UnknownEdgeError):
-        apply_change(ps, triangle, 9, 2.0)
+    # An id is an int in range: 2.0 and "2" name no edge, though 2 does.
+    for bad in (9, 2.0, 2.5, "2"):
+        with pytest.raises(UnknownEdgeError):
+            apply_change(ps, triangle, bad, 2.0)
+        with pytest.raises(UnknownEdgeError):
+            precompute_plan(triangle, bad, {})
     with pytest.raises(NonFiniteWeightError):
         apply_change(ps, triangle, 2, math.nan)
     assert triangle.weight(2) == 10.0  # nothing was applied

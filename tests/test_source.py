@@ -68,15 +68,43 @@ UNREAD_PUBLIC_NAMES = {
 }
 
 
-def test_unread_public_names_are_the_pinned_ones():
-    import mstplan
+# Public names that only a benchmark script reads, each with the reason it is
+# kept. The first two wait on the benchmark change that drops their per-layer
+# metrics and then the names themselves (ROADMAP item 2). A name here that gains
+# a reader in the package or a demo, or loses its benchmark reader, fails the
+# test below, as does a new name only the benchmark reads.
+BENCHMARK_ONLY_PUBLIC_NAMES = {
+    "is_connected": "times graph.is_connected_ms in bench/layers.py; no production path runs it",
+    "precompute_plan": "times plans.precompute_plan_ms_p50 in bench/layers.py; superseded "
+    "by precompute_all",
+    "read_graph": "the file form of parse_graph, the pair of write_graph; the CLI reads "
+    "its files through parse_graph",
+}
 
-    readers = MODULES + sorted(ROOT.glob("bench/*.py")) + sorted(ROOT.glob("demos/*.py"))
+
+def names_read(paths) -> set[str]:
+    """Every name and attribute the sources at ``paths`` read."""
     read = set()
-    for path in readers:
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    assert sorted(set(mstplan.__all__) - read) == sorted(UNREAD_PUBLIC_NAMES)
+    return read
+
+
+def test_unread_public_names_are_the_pinned_ones():
+    import mstplan
+
+    readers = MODULES + sorted(ROOT.glob("bench/*.py")) + sorted(ROOT.glob("demos/*.py"))
+    assert sorted(set(mstplan.__all__) - names_read(readers)) == sorted(UNREAD_PUBLIC_NAMES)
+
+
+def test_public_names_only_the_benchmark_reads_are_the_pinned_ones():
+    import mstplan
+
+    package = names_read(MODULES + sorted(ROOT.glob("demos/*.py")))
+    bench = names_read(sorted(ROOT.glob("bench/*.py")))
+    only_bench = (set(mstplan.__all__) - package) & bench
+    assert sorted(only_bench) == sorted(BENCHMARK_ONLY_PUBLIC_NAMES)
