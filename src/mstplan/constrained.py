@@ -104,7 +104,9 @@ class SpanningTree:
         cls, g: WeaklyDynamicGraph, ids: Iterable[int]
     ) -> "SpanningTree":
         ids = frozenset(ids)
-        if ids:  # the extremes raise UnknownEdgeError for any id out of range
+        for eid in filterfalse(int.__instancecheck__, ids):
+            g._check_edge(eid)  # refuses an id that is not an int
+        if ids:  # the int extremes raise UnknownEdgeError for any id out of range
             g._check_edge(min(ids))
             g._check_edge(max(ids))
         weight = g._weight

@@ -189,13 +189,15 @@ def _build_kernel(g: "WeaklyDynamicGraph") -> Kernel:
         raise _disconnected(n)
     parent = list(range(n))
     _kruskal(forced, u, v, parent, len(forced))
-    contracted = list(parent)  # a root per component of ``forced``
+    contracted = list(parent)  # a root per component of ``forced``; a path to it can be n long
     supers = n - len(forced)
-    kernel_stable = _kruskal(stable, u, v, parent, supers - 1)
+    forced = frozenset(forced)  # joins no two sets of ``parent`` now, so the search skips it
+    kernel_stable = _kruskal(filterfalse(forced.__contains__, stable), u, v, parent, supers - 1)
     index: dict[int, int] = {}  # component root -> super-vertex
 
     def super_of(x: int) -> int:
-        while contracted[x] != x:
+        while contracted[x] != x:  # halving the path, as _kruskal does
+            contracted[x] = contracted[contracted[x]]
             x = contracted[x]
         return index.setdefault(x, len(index))
 
@@ -203,7 +205,7 @@ def _build_kernel(g: "WeaklyDynamicGraph") -> Kernel:
     ends_u = {eid: super_of(u[eid]) for eid in edges}
     ends_v = {eid: super_of(v[eid]) for eid in edges}
     forced_sum = _exact_sum([weight[eid] for eid in forced])
-    return Kernel(frozenset(forced), supers, tuple(kernel_stable), ends_u, ends_v, forced_sum)
+    return Kernel(forced, supers, tuple(kernel_stable), ends_u, ends_v, forced_sum)
 
 
 class WeaklyDynamicGraph:

@@ -20,6 +20,7 @@ from mstplan import (
     NonFiniteWeightError,
     NotUnstableError,
     SelfLoopError,
+    SpanningTree,
     UnknownEdgeError,
     VertexOutOfRangeError,
     WeaklyDynamicGraph,
@@ -146,6 +147,10 @@ def test_unknown_edge_lookup(triangle):
             triangle.weight(bad)
         with pytest.raises(UnknownEdgeError):
             is_connected(triangle, {bad})
+    # A tree's ids are checked too, a non-int one between the extremes included.
+    for ids in ({0, 3}, {-1, 1}, {0, 1.5, 2}, {0, 1.0, 2}, {0, "1", 2}):
+        with pytest.raises(UnknownEdgeError):
+            SpanningTree.from_edge_ids(triangle, ids)
 
 
 def test_is_connected_with_exclusions(triangle):
