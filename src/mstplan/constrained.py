@@ -21,10 +21,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import filterfalse
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from .errors import InvalidConstraintsError
-from .graph import WeaklyDynamicGraph, _exact_sum, _fsum, _kruskal, unstable_values
+from .graph import WeaklyDynamicGraph, _exact_sum, _fsum, _kruskal
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,10 @@ def constrained_mst_kruskal(
     chosen += _kruskal(order, u, v, parent, g.n - 1 - len(chosen))
     if len(chosen) != g.n - 1:
         return Infeasible(FORBIDDEN_DISCONNECTS)
-    return SpanningTree.from_edge_ids(g, chosen)
+    # The ids are checked already and the weights a list: no float boxed per id.
+    ids = frozenset(chosen)
+    unstable = ids.intersection(g.unstable_ids)
+    return SpanningTree(ids, frozenset(), unstable, _exact_sum([weight[f] for f in ids - unstable]))
 
 
 def constrained_mst_prim(
@@ -212,19 +215,9 @@ def tree_total_weight(
 ) -> float:
     """Total of ``t`` at ``g``'s current values, leaving out ``exclude``'s weight.
 
-    The total is the correctly rounded sum of the member weights, as
-    :func:`_total_at` gives it.
+    One ``fsum`` of the tree's exact stable sum and its unstable members'
+    values: the correctly rounded sum of the member weights, the same
+    whatever the order of the members.
     """
-    return _total_at(t, unstable_values(g), exclude)
-
-
-def _total_at(
-    t: SpanningTree, values: Mapping[int, float], exclude: int | None = None
-) -> float:
-    """Stable sum plus ``values`` of the unstable members but ``exclude``.
-
-    One ``fsum`` of the tree's exact stable sum and those values: the
-    correctly rounded total, the same whatever the order of the members.
-    """
-    unstable = [values[eid] for eid in t.unstable_members if eid != exclude]
+    unstable = [g._weight[eid] for eid in t.unstable_members if eid != exclude]
     return _fsum((*t._expansion, *unstable))

@@ -67,7 +67,7 @@ from .graph import (
     build_graph,
     unstable_values,
 )
-from .plans import PlanSet, _swap, precompute_all
+from .plans import PlanSet, precompute_all
 
 
 def format_value(value: float) -> str:
@@ -299,7 +299,7 @@ def plans_to_json(ps: PlanSet, g: WeaklyDynamicGraph) -> str:
         raise PlanFormatError("plan set was built at other unstable values than the graph holds")
     _refuse_cover(ps.plans, g.unstable_ids)
     built = precompute_all(g).plans
-    trees_and_totals = operator.attrgetter("mst_s", "mst_v", "d_s", "s_v")
+    trees_and_totals = operator.attrgetter("mst_s", "mst_v", "d_s", "s_v", "swap")
     for eid, plan in sorted(ps.plans.items()):
         if trees_and_totals(plan) != trees_and_totals(built[eid]):
             raise PlanFormatError(
@@ -322,16 +322,18 @@ def _document(ps: PlanSet, g: WeaklyDynamicGraph, fingerprint: dict) -> dict:
     """The plan file of ``ps``, a set built from ``g``, as a JSON object.
 
     Every plan holds the minimum tree, as ``mst_v`` when its edge ranks
-    before its swap in ``(weight, id)`` order and as ``mst_s`` otherwise; a
-    graph without unstable edges has no plans, and its file no tree.
+    before its swap in ``(weight, id)`` order at ``g``'s values, which are
+    the set's, and as ``mst_s`` otherwise; a graph without unstable edges
+    has no plans, and its file no tree.
     """
-    values, tree, records = ps.snapshot, None, []
+    weight, tree, records = g._weight, None, []
     for eid, plan in sorted(ps.plans.items()):
-        swap = _swap(g, values, plan.mst_s, plan.mst_v)
-        tree = plan.mst_v if (values[eid], eid) < swap else plan.mst_s
+        swap = plan.swap
+        ranks_first = swap is None or (weight[eid], eid) < (weight[swap], swap)
+        tree = plan.mst_v if ranks_first else plan.mst_s
         records.append({
             "edge": eid,
-            "swap": swap[1],
+            "swap": swap,
             "d_s": "inf" if math.isinf(plan.d_s) else plan.d_s,
             "s_v": plan.s_v,
             "cv": "inf" if math.isinf(plan.cv) else plan.cv,

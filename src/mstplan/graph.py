@@ -339,17 +339,20 @@ def _validate_edge(n: int, u: int, v: int, weight: float) -> float:
         raise VertexOutOfRangeError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
     if u == v:
         raise SelfLoopError(f"self-loop at vertex {u}")
-    return _finite(weight, f"weight of edge ({u}, {v})")
+    return _finite(weight, "weight of edge ({}, {})", u, v)
 
 
-def _finite(value: float, what: str) -> float:
-    """``float(value)``; NonFiniteWeightError naming ``what`` if no finite float holds it."""
+def _finite(value: float, what: str, *args) -> float:
+    """``float(value)``; NonFiniteWeightError if no finite float holds it.
+
+    The error names ``what.format(*args)``, formatted only when it is raised.
+    """
     try:
         if math.isfinite(value):
             return float(value)
     except OverflowError:  # an int past the largest float
-        raise NonFiniteWeightError(f"{what} is past the float range") from None
-    raise NonFiniteWeightError(f"{what} is not finite: {value!r}")
+        raise NonFiniteWeightError(f"{what.format(*args)} is past the float range") from None
+    raise NonFiniteWeightError(f"{what.format(*args)} is not finite: {value!r}")
 
 
 def is_connected(g: WeaklyDynamicGraph, excluded: frozenset[int] | set[int]) -> bool:
@@ -370,11 +373,15 @@ def set_unstable_weight(
     """
     if not g._is_unstable(edge_id):
         raise NotUnstableError(f"edge {edge_id} is stable; its weight is immutable")
-    new_x = _finite(new_x, f"new value for edge {edge_id}")
-    g._weight[edge_id] = new_x
-    if g._edges is not None:
-        g._edges[edge_id] = replace(g._edges[edge_id], weight=new_x)
+    _set_weight(g, edge_id, _finite(new_x, "new value for edge {}", edge_id))
     return g
+
+
+def _set_weight(g: WeaklyDynamicGraph, edge_id: int, x: float) -> None:
+    """Set ``x``, a finite float, as unstable edge ``edge_id``'s value; nothing is checked."""
+    g._weight[edge_id] = x
+    if g._edges is not None:
+        g._edges[edge_id] = replace(g._edges[edge_id], weight=x)
 
 
 def unstable_values(g: WeaklyDynamicGraph) -> dict[int, float]:

@@ -12,23 +12,22 @@ by a single comparison with no graph work at all.
 
 Both trees come from the graph's kernel (:class:`~mstplan.graph.Kernel`):
 at any values, a minimum spanning tree under the ``(weight, id)`` order is
-the kernel's fixed stable edges plus a Kruskal over at most 2k kernel edges
-between at most k + 1 super-vertices. A build is given a vector of unstable
-values and reads them from it, never from the graph, which it neither
-changes nor copies. It finds the minimum spanning tree at the vector with
-one Kruskal, and every plan it builds holds that tree object: as ``mst_v``
-for an edge in it, as ``mst_s`` for one outside. The other tree is one swap
-of it (Tarjan, IPL 1982), found by one more Kruskal: over the kernel edges
-but the plan's edge (none: the edge is a bridge), or over the edge and the
-tree's kernel edges. A tree is the kernel's forced edges, which every tree
-shares, plus its own at most k kernel edges, so it costs O(k).
+the kernel's fixed stable edges plus a tree of at most 2k kernel edges
+between at most k + 1 super-vertices. A build reads the unstable values
+from a vector it is given, never from the graph, which it neither changes
+nor copies. Every plan it builds holds one tree object, the minimum
+spanning tree at the vector, and its ``swap``, the edge its other tree
+trades (Tarjan, "Sensitivity analysis of minimum spanning trees and
+shortest path trees", IPL 1982); one pass over the kernel tree finds every
+swap. The other tree is made in O(1), and each total is one ``fsum``.
 
 With several unstable edges, one plan is kept per edge, each computed with
 the *other* unstable edges frozen at the set's snapshot, stored once. Under
 the one-change-at-a-time contract the plan for the changed edge is exact at
-the moment of the change and after it, so a change keeps it and rebuilds the
-others at the new vector, and one whose value did not move keeps all. They
-all freeze one snapshot, so a rebuild touches no edge outside the kernel.
+the moment of the change and after it, so a change keeps it, reads the new
+minimum tree off it and rebuilds the others around that tree; one whose
+value did not move keeps all. They all freeze one snapshot, so a rebuild
+touches no edge outside the kernel.
 
 Plans and plan sets are immutable once built. Selection is read-only and may
 run concurrently with a rebuild as long as the rebuilt plan set is published
@@ -42,7 +41,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
-from .constrained import SpanningTree, _total_at
+from .constrained import SpanningTree
 from .errors import (
     Error,
     FrozenIncompleteError,
@@ -53,8 +52,10 @@ from .errors import (
 from .graph import (
     Kernel,
     WeaklyDynamicGraph,
+    _exact_sum,
     _finite,
-    set_unstable_weight,
+    _fsum,
+    _set_weight,
     unstable_values,
 )
 
@@ -72,9 +73,11 @@ class EdgePlan:
     ``mst_s`` is None and ``d_s`` is +inf when the edge is a bridge.
     ``mst_v``/``s_v``: best tree containing the edge and the fixed part of its
     total, so the full total is ``s_v + x``.
-    ``cv``: the threshold, the exact ``d_s - s_v``: the weight of the edge its
-    two trees trade (+inf for a bridge). It stores no values: it is exact at
-    its set's :attr:`PlanSet.snapshot`, or at :func:`precompute_plan`'s ``frozen``.
+    ``cv``: the threshold, the exact ``d_s - s_v``: the weight of ``swap``,
+    the one edge ``mst_s`` holds and ``mst_v`` does not (+inf and None for a
+    bridge). One tree is the one its set's plans share. It stores no values:
+    it is exact at its set's :attr:`PlanSet.snapshot`, or at
+    :func:`precompute_plan`'s ``frozen``.
     """
 
     edge_id: int
@@ -83,6 +86,7 @@ class EdgePlan:
     mst_v: SpanningTree
     s_v: float
     cv: float
+    swap: int | None
     # The answer on the stable side, built once so selection only returns it;
     # None for a bridge, whose cv no finite x reaches.
     _stable: Selection | None = field(init=False, repr=False, compare=False)
@@ -123,71 +127,117 @@ _STABLE = TreeKind.STABLE
 _new_tuple = tuple.__new__
 
 
-def _kernel_order(g: WeaklyDynamicGraph, values: Mapping[int, float]) -> list[int]:
-    """The kernel's edges in ``(weight, id)`` order, unstable ones at ``values``.
+def _kernel_fields(g: WeaklyDynamicGraph, part: frozenset[int]) -> tuple:
+    """The fields of the tree of the kernel's forced edges plus the kernel edges ``part``."""
+    kernel = g.kernel()
+    unstable = part.intersection(g.unstable_ids)
+    # The stable sum is the forced edges' exact sum plus the at most k
+    # stable kernel weights: no pass over the tree's n - 1 edges.
+    stable = kernel._forced_expansion + tuple(g._weight[f] for f in part - unstable)
+    return kernel.forced, part, unstable, stable
 
-    It is the tie rule of every tree a plan holds, and of the graph's
-    minimum spanning tree.
+
+class _SwappedTree(SpanningTree):
+    """A plan's other tree: a kernel tree with the edge ``out`` traded for ``into``.
+
+    It is made in O(1) and holds only what it was made from. Its fields
+    are filled on the first read of any, as for a tree built whole, and it
+    then refers to no other tree.
     """
-    pairs = [(g._weight[eid], eid) for eid in g.kernel().stable]
-    pairs += [(x, eid) for eid, x in values.items()]
-    return [eid for _, eid in sorted(pairs)]
+
+    __slots__ = ("_swap",)
+
+    def __getattr__(self, name):
+        # Reached only for an unset slot: every field, before the fill.
+        swap = object.__getattribute__(self, "_swap")
+        if swap is None:
+            raise AttributeError(name)
+        g, tree, out, into = swap
+        SpanningTree.__init__(self, *_kernel_fields(g, tree._part - {out} | {into}))
+        object.__setattr__(self, "_swap", None)
+        return getattr(self, name)
 
 
-def _swap(g: WeaklyDynamicGraph, values: Mapping, mst_s, mst_v) -> tuple:
-    """``(weight, id)`` at ``values`` of a plan's swap, in mst_s but not mst_v, or (inf, None)."""
-    if mst_s is None:
-        return math.inf, None
-    shared = mst_s._base is mst_v._base  # then they differ in parts; a loop beats a set op
-    other = mst_v._part if shared else mst_v.edge_ids
-    for swap in mst_s._part if shared else mst_s.edge_ids:
-        if swap not in other:
-            return values.get(swap, g._weight[swap]), swap
-
-
-def _kernel_tree(g: WeaklyDynamicGraph, part: list[int], known: dict) -> SpanningTree:
-    """The kernel's forced edges plus ``part``; the tree in ``known``, by part, if there."""
-    key = frozenset(part)
-    tree = known.get(key)
-    if tree is None:
-        # The stable sum is the forced edges' exact sum plus the at most
-        # k stable kernel weights: no pass over the tree's n - 1 edges.
-        kernel = g.kernel()
-        unstable = key.intersection(g.unstable_ids)
-        stable = kernel._forced_expansion + tuple(g._weight[f] for f in key - unstable)
-        tree = known[key] = SpanningTree(kernel.forced, key, unstable, stable)
-    return tree
+def _swapped(g: WeaklyDynamicGraph, tree: SpanningTree, out: int, into: int) -> SpanningTree:
+    other = object.__new__(_SwappedTree)
+    object.__setattr__(other, "_swap", (g, tree, out, into))
+    return other
 
 
 def _build_plans(
-    g: WeaklyDynamicGraph, values: Mapping[int, float], edge_ids: Sequence[int], known: dict
+    g: WeaklyDynamicGraph,
+    values: Mapping[int, float],
+    tree: SpanningTree | None,
+    edge_ids: Sequence[int],
 ) -> dict[int, EdgePlan]:
     """Plans for ``edge_ids`` at ``values``, a float per unstable id in ascending order.
 
-    One Kruskal finds the minimum tree at ``values`` and its total; each
-    plan's other tree is one more, which for an edge outside the tree drops
-    the heaviest edge of the cycle the edge closes. ``g``'s own unstable
-    weights are neither read nor changed. ``known`` maps kernel parts to
-    trees of this graph's kernel; a tree whose part is there is reused, as
-    its cached stable sum depends on no value, and each new tree is added.
+    ``tree`` is the ``(weight, id)`` minimum spanning tree at ``values``, a
+    tree of this graph's kernel, or None to find it with one Kruskal. Every
+    plan holds it. One pass finds each plan's swap (Tarjan, IPL 1982): each
+    kernel edge outside the tree, in ``(weight, id)`` order, walks the tree
+    path between its ends. It is the swap of each edge on the path that no
+    lighter edge walked, and the path's heaviest edge is its own swap.
+    ``g``'s own unstable weights are neither read nor changed.
     """
     kernel = g.kernel()
-    order = _kernel_order(g, values)
-    taken = kernel.spanning(order)
-    tree = _kernel_tree(g, taken, known)
-    total = _total_at(tree, values)
+    ends_u, ends_v = kernel._u, kernel._v
+    weight = {f: g._weight[f] for f in kernel.stable}
+    weight.update(values)
+    order = [f for _, f in sorted([(w, f) for f, w in weight.items()])]
+    if tree is None:
+        tree = SpanningTree(*_kernel_fields(g, frozenset(kernel.spanning(order))))
+    part = tree._part  # fills a swapped tree, which then refers to no other plan set's tree
+
+    # Root the kernel tree at super-vertex 0: each other super-vertex's
+    # depth, its parent, and the tree edge to it.
+    supers = kernel.supers
+    near: list[list[int]] = [[] for _ in range(supers)]
+    for f in part:
+        near[ends_u[f]].append(f)
+        near[ends_v[f]].append(f)
+    up, parent, depth, stack = [-1] * supers, [0] * supers, [0] * supers, [0]
+    while stack:
+        a = stack.pop()
+        for f in near[a]:
+            if f != up[a]:
+                b = ends_v[f] if ends_u[f] == a else ends_u[f]
+                up[b], parent[b], depth[b] = f, a, depth[a] + 1
+                stack.append(b)
+    rank = {f: i for i, f in enumerate(order)}
+    swap: dict[int, int] = {}
+    for f in order:
+        if f in part:
+            continue
+        a, b, top = ends_u[f], ends_v[f], -1
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            t = up[a]
+            if rank[t] > top:
+                top = rank[t]
+            swap.setdefault(t, f)
+            a = parent[a]
+        swap[f] = order[top]
+
+    # The tree's exact total at ``values``, summed in tree_total_weight's order,
+    # so it raises where that does. Each total below adds at most two weights
+    # to it, and its every partial sum is a total of the tree or of a plan's.
+    exact = _exact_sum([*tree._expansion, *(values[f] for f in tree.unstable_members)])
+    total = _fsum(exact)
     plans = {}
     for eid in edge_ids:
-        if eid in tree._part:
-            avoiding = kernel.spanning([f for f in order if f != eid])
-            mst_s = None if avoiding is None else _kernel_tree(g, avoiding, known)
-            mst_v, d_s = tree, math.inf if mst_s is None else _total_at(mst_s, values)
+        f = swap.get(eid)
+        cv = math.inf if f is None else weight[f]
+        if eid not in part:
+            mst_s, d_s, mst_v, s_v = tree, total, _swapped(g, tree, f, eid), _fsum((*exact, -cv))
+        elif f is None:  # a bridge
+            mst_s, d_s, mst_v, s_v = None, math.inf, tree, _fsum((*exact, -values[eid]))
         else:
-            mst_s, d_s = tree, total
-            mst_v = _kernel_tree(g, kernel.spanning([eid, *taken]), known)
-        s_v = _total_at(mst_v, values, exclude=eid)
-        cv = _swap(g, values, mst_s, mst_v)[0]  # the exact d_s - s_v
-        plans[eid] = EdgePlan(eid, mst_s, d_s, mst_v, s_v, cv)
+            x = values[eid]
+            s_v = _fsum((*exact, -x))
+            mst_s, d_s, mst_v = _swapped(g, tree, eid, f), _fsum((*exact, -x, cv)), tree
+        plans[eid] = EdgePlan(eid, mst_s, d_s, mst_v, s_v, cv, f)
     return plans
 
 
@@ -211,8 +261,8 @@ def precompute_plan(
         )
     values = {eid: g._weight[eid] for eid in g.unstable_ids}
     for eid, value in frozen.items():
-        values[eid] = _finite(value, f"frozen value for edge {eid}")
-    return _build_plans(g, values, [edge_id], {})[edge_id]
+        values[eid] = _finite(value, "frozen value for edge {}", eid)
+    return _build_plans(g, values, None, [edge_id])[edge_id]
 
 
 def select_tree(plan: EdgePlan, x: float) -> Selection:
@@ -249,7 +299,7 @@ def select_tree(plan: EdgePlan, x: float) -> Selection:
 def precompute_all(g: WeaklyDynamicGraph) -> PlanSet:
     """One plan per unstable edge: the kernel's minimum tree and one swap of it per edge."""
     values = unstable_values(g)
-    return PlanSet(_build_plans(g, values, g.unstable_ids, {}), values, g.kernel())
+    return PlanSet(_build_plans(g, values, None, g.unstable_ids), values, g.kernel())
 
 
 def apply_change(
@@ -261,12 +311,13 @@ def apply_change(
     is exact because every other unstable edge still holds its snapshot value;
     a plan set built at other values than the graph's, or on a graph other
     than ``g`` and its copies, is refused. That plan is kept, and the others,
-    which froze the old value, are rebuilt from the graph's kernel at the
-    new values, so the next change is answered just as fast; a value that
-    did not move (``==``) keeps every plan. Only then is the new value set
-    in the graph, its one change: misuse, such as a ``new_x`` that no finite
-    float holds, and a rebuild that raises, such as one whose tree total
-    overflows (``NonFiniteWeightError``), leave the graph as it was.
+    which froze the old value, are rebuilt at the new values around the new
+    minimum tree, which that plan holds, so the next change is answered just
+    as fast; a value that did not move (``==``) keeps every plan. Only then
+    is the new value set in the graph, its one change: misuse, such as a
+    ``new_x`` that no finite float holds, and a rebuild that raises, such as
+    one whose tree total overflows (``NonFiniteWeightError``), leave the
+    graph as it was.
     """
     if not g._is_unstable(edge_id):
         raise NotUnstableError(f"edge {edge_id} is stable; it cannot change")
@@ -285,13 +336,17 @@ def apply_change(
             "plan set was not built on this graph or a copy of it; "
             "rebuild it with precompute_all"
         )
-    new_x = _finite(new_x, f"new value for edge {edge_id}")
+    new_x = _finite(new_x, "new value for edge {}", edge_id)
     immediate = select_tree(plan, new_x)
     values = {**current, edge_id: new_x}
     plans = dict(ps.plans)
-    if new_x != current[edge_id] and len(g.unstable_ids) > 1:
-        known = {t._part: t for p in plans.values() for t in (p.mst_s, p.mst_v) if t}
-        plans.update(_build_plans(g, values, [e for e in g.unstable_ids if e != edge_id], known))
-    set_unstable_weight(g, edge_id, new_x)
+    if new_x != current[edge_id] and len(plans) > 1:
+        # The kept plan's trees are the best with and without the edge, at
+        # any value of it: the (weight, id) Kruskal takes the edge before its
+        # swap exactly when it ranks first.
+        swap = plan.swap
+        tree = plan.mst_v if swap is None or (new_x, edge_id) < (plan.cv, swap) else plan.mst_s
+        plans.update(_build_plans(g, values, tree, [e for e in g.unstable_ids if e != edge_id]))
+    _set_weight(g, edge_id, new_x)
     return immediate, PlanSet(plans, values, g.kernel())
 

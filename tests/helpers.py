@@ -176,10 +176,12 @@ def reference_plans(g) -> PlanSet:
         s_v = tree_total_weight(mst_v, g, exclude=eid)
         if mst_s is None:
             d_s = cv = math.inf
+            swap = None
         else:  # cv: the exact difference of the two trees' totals, rounded once
             d_s = tree_total_weight(mst_s, g)
             cv = float(_exact_total(g, mst_s) - _exact_total(g, mst_v, eid))
-        plans[eid] = EdgePlan(eid, mst_s, d_s, mst_v, s_v, cv)
+            (swap,) = mst_s.edge_ids - mst_v.edge_ids
+        plans[eid] = EdgePlan(eid, mst_s, d_s, mst_v, s_v, cv, swap)
     return PlanSet(plans=plans, snapshot=unstable_values(g))
 
 

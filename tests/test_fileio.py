@@ -942,7 +942,7 @@ def test_writer_refuses_what_is_not_one_tree_plus_swaps(tmp_path, multi3):
 
 def test_writer_and_loader_each_run_precompute_alls_kruskals(monkeypatch):
     # Both build the set with precompute_all, one kernel Kruskal for the
-    # minimum tree and one per plan, and read the tree off the built plans.
+    # minimum tree, and read the tree and each swap off the built plans.
     # Before they did, the writer ran 1 Kruskal and the loader k + 2.
     rng = random.Random(2178)
     unstable = rng.sample(range(29 + 60), 5)
@@ -957,10 +957,10 @@ def test_writer_and_loader_each_run_precompute_alls_kruskals(monkeypatch):
 
     monkeypatch.setattr(Kernel, "spanning", counted)
     text = plans_to_json(ps, g)
-    assert len(calls) == len(unstable) + 1
+    assert len(calls) == 1
     calls.clear()
     plans_from_json(text, g)
-    assert len(calls) == len(unstable) + 1
+    assert len(calls) == 1
 
 
 def test_plan_files_keep_their_bytes():
@@ -978,6 +978,23 @@ def test_plan_files_keep_their_bytes():
     for _ in range(20):
         _, ps = apply_change(ps, g, rng.choice(g.unstable_ids), float(rng.randint(1, 10**6)))
     assert digest() == "fa50958c52f7707e9d590c77eeb0ef865b036b95be9bbb47da86dc61d2bfb812"
+
+
+def test_a_change_chain_at_k_32_keeps_its_plan_file_bytes():
+    # 32 unstable edges and 50 changes, a quarter of them to the changed
+    # edge's threshold, where the (weight, id) tie rule picks the tree: one
+    # digest over the plan file of every set along the chain.
+    g = generate_graph(500, 1500, 32, 24)
+    ps = precompute_all(g)
+    rng = random.Random(32)
+    digest = hashlib.sha256(plans_to_json(ps, g).encode())
+    for _ in range(50):
+        eid = rng.choice(g.unstable_ids)
+        cv, far = ps.plans[eid].cv, float(rng.randint(1, 10**6))
+        x = far if cv == math.inf else rng.choice([cv, cv - 1, cv + 1, far])
+        _, ps = apply_change(ps, g, eid, x)
+        digest.update(plans_to_json(ps, g).encode())
+    assert digest.hexdigest() == "75a4f39bac3309684cdea42f82e031de8ec0758f838100c6f849db49cf918fd8"
 
 
 def test_random_plan_files_round_trip_and_survive_swap_tampering():

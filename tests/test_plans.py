@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import sys
+import weakref
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from mstplan import (
     constrained_mst_prim,
     enumerate_spanning_trees,
     format_graph,
+    generate_graph,
     parse_graph,
     plans_from_json,
     plans_to_json,
@@ -136,8 +138,10 @@ def test_stable_plan_missing_is_reported(triangle):
     # no finite x reaches its cv of inf.
     tree = precompute_plan(triangle, 2, {}).mst_v
     with pytest.raises(Error, match="^edge 2: a plan without a stable tree needs cv = inf$"):
-        EdgePlan(edge_id=2, mst_s=None, d_s=math.inf, mst_v=tree, s_v=1.0, cv=3.0)
-    bridge = EdgePlan(edge_id=2, mst_s=None, d_s=math.inf, mst_v=tree, s_v=1.0, cv=math.inf)
+        EdgePlan(edge_id=2, mst_s=None, d_s=math.inf, mst_v=tree, s_v=1.0, cv=3.0, swap=None)
+    bridge = EdgePlan(
+        edge_id=2, mst_s=None, d_s=math.inf, mst_v=tree, s_v=1.0, cv=math.inf, swap=None
+    )
     assert select_tree(bridge, 4.0).chosen is TreeKind.VARIABLE
 
 
@@ -309,7 +313,10 @@ def test_numbers_no_float_holds_are_refused(multi3):
     assert select_tree(plan, 10**400) is plan._stable
 
 
-def test_a_rebuild_runs_one_kruskal_per_rebuilt_plan_and_one_for_the_tree(monkeypatch):
+def test_precompute_all_runs_one_kruskal_and_a_change_none(monkeypatch):
+    # precompute_all finds the minimum tree with one Kruskal and every swap in
+    # one pass over it; a change reads the new tree off the changed edge's
+    # plan. Before that each rebuilt plan ran a Kruskal of its own.
     rng = random.Random(1982)
     unstable = rng.sample(range(29 + 60), 5)
     g = random_graph(rng, 30, 60, unstable=unstable)
@@ -322,15 +329,90 @@ def test_a_rebuild_runs_one_kruskal_per_rebuilt_plan_and_one_for_the_tree(monkey
 
     monkeypatch.setattr(Kernel, "spanning", counted)
     ps = precompute_all(g)
-    assert len(calls) == len(unstable) + 1
+    assert len(calls) == 1
     calls.clear()
-    _, ps = apply_change(ps, g, unstable[0], g.weight(unstable[0]) + 0.5)
-    assert len(calls) == len(unstable)  # k - 1 rebuilt plans and the tree
-    calls.clear()
+    for eid in unstable * 4:
+        cv = ps.plans[eid].cv if ps.plans[eid].swap is not None else 1.0
+        _, ps = apply_change(ps, g, eid, rng.choice([cv - 0.5, cv, cv + 0.5, 0.0]))
     _, ps = apply_change(ps, g, unstable[1], g.weight(unstable[1]))
     assert calls == []
     monkeypatch.undo()
     assert plan_sets_equal(ps, reference_plans(g))
+
+
+def _shared_trees(ps):
+    """The tree objects that every plan of ``ps`` holds."""
+    trees = [(p.mst_s, p.mst_v) for p in ps.plans.values()]
+    return [t for t in trees[0] if t is not None and all(t is s or t is v for s, v in trees)]
+
+
+def test_a_change_reads_the_kruskal_tree_at_the_new_values_off_the_changed_plan():
+    # A change runs no Kruskal: the changed edge's plan holds the best trees
+    # with and without the edge, and the set it builds shares the one the
+    # kernel's (weight, id) Kruskal takes at the new values. Ties at x == cv,
+    # bridges, parallel edges, and non-integer weights among ties.
+    rng = random.Random(2410)
+    pool = (0.1, 0.2, 0.3, 0.7, 2.5)
+    draws = (lambda: float(rng.randint(1, 3)), lambda: rng.choice(pool), lambda: rng.uniform(-2, 3))
+    compared = ties = bridges = 0
+    for trial in range(240):
+        draw = draws[trial % 3]
+        n = rng.randint(2, 9)
+        pairs = random_pairs(rng, n, rng.randint(0, 2 * n))
+        pairs += rng.choices(pairs, k=rng.randint(1, 3))  # parallel edges
+        pairs.append((rng.randrange(n), n))  # a bridge to one more vertex
+        unstable = rng.sample(range(len(pairs)), rng.randint(2, min(5, len(pairs))))
+        g = build_graph(
+            n + 1,
+            [
+                (u, v, draw(), "unstable" if i in unstable else "stable")
+                for i, (u, v) in enumerate(pairs)
+            ],
+        )
+        kernel = g.kernel()
+        ps = precompute_all(g)
+        for _ in range(8):
+            eid = rng.choice(unstable)
+            plan = ps.plans[eid]
+            pick = rng.random()
+            if plan.cv != math.inf and pick < 0.4:
+                x = plan.cv
+            elif pick < 0.7:
+                x = g.weight(rng.randrange(g.num_edges))
+            else:
+                x = draw()
+            if x == g.weight(eid):
+                continue  # a value that did not move keeps every plan
+            _, ps = apply_change(ps, g, eid, x)
+            keys = [(g.weight(f), f) for f in (*kernel.stable, *g.unstable_ids)]
+            want = frozenset(kernel.spanning([f for _, f in sorted(keys)]))
+            # Every plan holds the tree the change read off the kept one.
+            (tree,) = _shared_trees(ps)
+            assert tree is plan.mst_s or tree is plan.mst_v
+            assert tree._part == want and tree.edge_ids == constrained_mst_kruskal(g).edge_ids
+            compared += 1
+            ties += x == plan.cv
+            bridges += plan.swap is None
+    assert compared > 1000 and ties > 300 and bridges > 100
+
+
+def test_a_change_chain_frees_the_plan_sets_it_has_moved_past():
+    # Every plan of a set holds the set's minimum tree, so once that tree's
+    # part is freed no plan of the set is alive, nor is the set. A plan a
+    # change keeps holds trees, never another set's plans.
+    g = generate_graph(300, 900, 8, 5)
+    ps = precompute_all(g)
+    rng = random.Random(8)
+    early = None
+    for step in range(200):
+        eid = rng.choice(g.unstable_ids)
+        cv = ps.plans[eid].cv
+        x = float(rng.randint(1, 10**6)) if cv == math.inf else cv + rng.randint(-3000, 3000)
+        _, ps = apply_change(ps, g, eid, x)
+        if step == 10:
+            early = weakref.ref(_shared_trees(ps)[0]._part)
+            assert early() is not None
+    assert early() is None
 
 
 @pytest.mark.parametrize("edge_first", [True, False])
