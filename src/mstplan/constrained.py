@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import filterfalse
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import InvalidConstraintsError
 from .graph import WeaklyDynamicGraph, _exact_sum, _fsum, _kruskal
@@ -109,9 +109,13 @@ class SpanningTree:
         if ids:  # the int extremes raise UnknownEdgeError for any id out of range
             g._check_edge(min(ids))
             g._check_edge(max(ids))
-        weight = g._weight
-        unstable = ids.intersection(g.unstable_ids)
-        return cls(ids, frozenset(), unstable, _exact_sum([weight[eid] for eid in ids - unstable]))
+        return _whole_tree(g, ids, g._weight)
+
+
+def _whole_tree(g: WeaklyDynamicGraph, ids: frozenset, weight: Sequence[float]) -> SpanningTree:
+    """The tree of ``g``'s edges ``ids``, checked already, with no part; ``weight`` is by id."""
+    unstable = ids.intersection(g.unstable_ids)
+    return SpanningTree(ids, frozenset(), unstable, _exact_sum([weight[f] for f in ids - unstable]))
 
 
 MANDATORY_CYCLE = "mandatory-cycle"
@@ -151,10 +155,8 @@ def constrained_mst_kruskal(
     chosen += _kruskal(order, u, v, parent, g.n - 1 - len(chosen))
     if len(chosen) != g.n - 1:
         return Infeasible(FORBIDDEN_DISCONNECTS)
-    # The ids are checked already and the weights a list: no float boxed per id.
-    ids = frozenset(chosen)
-    unstable = ids.intersection(g.unstable_ids)
-    return SpanningTree(ids, frozenset(), unstable, _exact_sum([weight[f] for f in ids - unstable]))
+    # The weights are a list: no float is boxed per id.
+    return _whole_tree(g, frozenset(chosen), weight)
 
 
 def constrained_mst_prim(

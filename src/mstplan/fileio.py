@@ -67,7 +67,7 @@ from .graph import (
     build_graph,
     unstable_values,
 )
-from .plans import PlanSet, precompute_all
+from .plans import PlanSet, _minimum_tree, precompute_all
 
 
 def format_value(value: float) -> str:
@@ -328,12 +328,10 @@ def _document(ps: PlanSet, g: WeaklyDynamicGraph, fingerprint: dict) -> dict:
     """
     weight, tree, records = g._weight, None, []
     for eid, plan in sorted(ps.plans.items()):
-        swap = plan.swap
-        ranks_first = swap is None or (weight[eid], eid) < (weight[swap], swap)
-        tree = plan.mst_v if ranks_first else plan.mst_s
+        tree = _minimum_tree(plan, weight[eid], weight)
         records.append({
             "edge": eid,
-            "swap": swap,
+            "swap": plan.swap,
             "d_s": "inf" if math.isinf(plan.d_s) else plan.d_s,
             "s_v": plan.s_v,
             "cv": "inf" if math.isinf(plan.cv) else plan.cv,

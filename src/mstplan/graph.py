@@ -7,10 +7,8 @@ are not, and the full edge set must connect all vertices.
 
 So a graph is stored as three flat columns indexed by edge id, both
 endpoints as lists of ints and the weights as one ``array('d')`` of
-float64 values, plus the ids of its unstable edges. Parsing,
-fingerprinting, planning and plan loading read the columns; the
-:class:`Edge` objects of ``edges`` and ``edge(i)`` are a view built from
-them on first use and kept.
+float64 values, plus the ids of its unstable edges. Every reader reads
+the columns; ``edge(i)`` builds one :class:`Edge` from them per call.
 
 Every minimum spanning tree a graph can have is one fixed set of stable edges
 plus a tree of its small :class:`Kernel`. A graph comes from parsing or from
@@ -25,7 +23,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import filterfalse
 from typing import Iterable
@@ -214,28 +212,17 @@ class WeaklyDynamicGraph:
     The graph is stored as columns indexed by dense edge id (input order):
     both endpoints, as lists, and the current weight of each edge, as one
     ``array('d')``, so no float object is kept per edge. ``unstable_ids``
-    enumerates the edges whose weights are replaceable. ``edges`` is a view
-    of :class:`Edge` objects built from the columns on first read and kept,
-    so repeated reads return the same objects; treat it as read-only, and
-    change a weight with :func:`set_unstable_weight`. Graphs come from
+    enumerates the edges whose weights are replaceable; change one with
+    :func:`set_unstable_weight`. ``edge(i)`` is a new :class:`Edge` of
+    edge ``i``'s current columns on each call. Graphs come from
     :func:`build_graph` or :func:`~mstplan.parse_graph`, each built with its
     kernel, and from ``copy()``; they compare by identity.
     """
 
-    __slots__ = ("n", "unstable_ids", "_u", "_v", "_weight", "_edges", "_kernel")
+    __slots__ = ("n", "unstable_ids", "_u", "_v", "_weight", "_kernel")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("a graph is made by build_graph or parse_graph, not directly")
-
-    @property
-    def edges(self) -> list[Edge]:
-        if self._edges is None:
-            unstable = set(self.unstable_ids)
-            self._edges = [
-                Edge(eid, a, b, w, EdgeKind.UNSTABLE if eid in unstable else EdgeKind.STABLE)
-                for eid, (a, b, w) in enumerate(zip(self._u, self._v, self._weight))
-            ]
-        return self._edges
 
     @property
     def num_edges(self) -> int:
@@ -251,8 +238,8 @@ class WeaklyDynamicGraph:
         return edge_id in self.unstable_ids
 
     def edge(self, edge_id: int) -> Edge:
-        self._check_edge(edge_id)
-        return self.edges[edge_id]
+        kind = EdgeKind.UNSTABLE if self._is_unstable(edge_id) else EdgeKind.STABLE
+        return Edge(edge_id, self._u[edge_id], self._v[edge_id], self._weight[edge_id], kind)
 
     def weight(self, edge_id: int) -> float:
         self._check_edge(edge_id)
@@ -262,7 +249,7 @@ class WeaklyDynamicGraph:
         """Independent copy; mutating one graph's weights leaves the other alone.
 
         The copy shares the kernel, so plans built on either graph are
-        accepted by the other. It builds no ``Edge`` view.
+        accepted by the other.
         """
         return _graph(self.n, self._u, self._v, self._weight[:], self.unstable_ids, self._kernel)
 
@@ -284,9 +271,9 @@ def _graph(n, u, v, weight, unstable_ids, kernel=None) -> WeaklyDynamicGraph:
     g = object.__new__(WeaklyDynamicGraph)
     g.n = n
     g.unstable_ids = tuple(unstable_ids)
-    # The columns. Only ``set_unstable_weight`` writes them, and only
-    # ``_weight``, so copies share ``_u`` and ``_v``.
-    g._u, g._v, g._weight, g._edges = u, v, weight, None
+    # The columns. Only ``set_unstable_weight`` and ``apply_change`` write
+    # them, and only ``_weight``, so copies share ``_u`` and ``_v``.
+    g._u, g._v, g._weight = u, v, weight
     g._kernel = kernel if kernel is not None else _build_kernel(g)
     return g
 
@@ -315,8 +302,8 @@ def build_graph(
     Edge ids are assigned densely in input order. The graph restricted to all
     edges must be connected.
     """
-    if n < 1:
-        raise Error(f"vertex count must be >= 1, got {n}")
+    if not (isinstance(n, int) and n >= 1):
+        raise Error(f"vertex count must be an int >= 1, got {n!r}")
     us: list[int] = []
     vs: list[int] = []
     weights: list[float] = []  # list.append is about 3x as fast as array.append
@@ -373,15 +360,8 @@ def set_unstable_weight(
     """
     if not g._is_unstable(edge_id):
         raise NotUnstableError(f"edge {edge_id} is stable; its weight is immutable")
-    _set_weight(g, edge_id, _finite(new_x, "new value for edge {}", edge_id))
+    g._weight[edge_id] = _finite(new_x, "new value for edge {}", edge_id)
     return g
-
-
-def _set_weight(g: WeaklyDynamicGraph, edge_id: int, x: float) -> None:
-    """Set ``x``, a finite float, as unstable edge ``edge_id``'s value; nothing is checked."""
-    g._weight[edge_id] = x
-    if g._edges is not None:
-        g._edges[edge_id] = replace(g._edges[edge_id], weight=x)
 
 
 def unstable_values(g: WeaklyDynamicGraph) -> dict[int, float]:

@@ -55,7 +55,6 @@ from .graph import (
     _exact_sum,
     _finite,
     _fsum,
-    _set_weight,
     unstable_values,
 )
 
@@ -341,12 +340,18 @@ def apply_change(
     values = {**current, edge_id: new_x}
     plans = dict(ps.plans)
     if new_x != current[edge_id] and len(plans) > 1:
-        # The kept plan's trees are the best with and without the edge, at
-        # any value of it: the (weight, id) Kruskal takes the edge before its
-        # swap exactly when it ranks first.
-        swap = plan.swap
-        tree = plan.mst_v if swap is None or (new_x, edge_id) < (plan.cv, swap) else plan.mst_s
+        tree = _minimum_tree(plan, new_x, g._weight)
         plans.update(_build_plans(g, values, tree, [e for e in g.unstable_ids if e != edge_id]))
-    _set_weight(g, edge_id, new_x)
+    g._weight[edge_id] = new_x
     return immediate, PlanSet(plans, values, g.kernel())
+
+
+def _minimum_tree(plan: EdgePlan, x: float, weight: Sequence[float]) -> SpanningTree:
+    """The minimum tree when ``plan``'s edge holds ``x`` and its swap ``weight[plan.swap]``.
+
+    The plan's trees are the best with and without the edge, at any value of it: the
+    (weight, id) Kruskal takes the edge before its swap exactly when it ranks first.
+    """
+    swap = plan.swap
+    return plan.mst_v if swap is None or (x, plan.edge_id) < (weight[swap], swap) else plan.mst_s
 

@@ -69,6 +69,11 @@ u 0 2 4
 """
 
 
+def edges(g) -> list:
+    """Every edge of ``g`` as an ``Edge``, in id order."""
+    return [g.edge(i) for i in range(g.num_edges)]
+
+
 def random_pairs(rng: random.Random, n: int, extra: int) -> list[tuple[int, int]]:
     """Endpoint pairs of a connected multigraph: backbone plus random extras."""
     pairs = [(rng.randrange(v), v) for v in range(1, n)]

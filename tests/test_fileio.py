@@ -15,6 +15,7 @@ from helpers import (
     PARALLEL_TEXT,
     THRESHOLD8_TEXT,
     TRIANGLE_TEXT,
+    edges,
     plan_sets_equal,
     random_graph,
     random_pairs,
@@ -275,7 +276,7 @@ def test_graph_file_round_trip_on_disk(tmp_path, threshold8):
     path = tmp_path / "g.graph"
     write_graph(threshold8, path)
     again = read_graph(path)
-    assert again.edges == threshold8.edges
+    assert edges(again) == edges(threshold8)
     assert again.unstable_ids == threshold8.unstable_ids
 
 
@@ -287,10 +288,10 @@ def test_fingerprint_tracks_content(triangle):
     assert graph_fingerprint(other)["sha256"] != fp["sha256"]
 
 
-def _edited(g, edges):
+def _edited(g, replaced):
     """``g`` with the edges at the given ids replaced; None if they disconnect it."""
-    specs = [(e.u, e.v, e.weight, e.kind) for e in g.edges]
-    for i, e in edges.items():
+    specs = [(e.u, e.v, e.weight, e.kind) for e in edges(g)]
+    for i, e in replaced.items():
         specs[i] = (e.u, e.v, e.weight, e.kind)
     try:
         return build_graph(g.n, specs)
@@ -349,7 +350,7 @@ def test_fingerprint_agrees_across_paths_and_tracks_every_field(tmp_path):
                 for end_moved in (dataclasses.replace(e, u=end), dataclasses.replace(e, v=end)):
                     changed.append(_edited(g, {i: end_moved}))
                     moved += changed[-1] is not None
-        for f in g.edges:
+        for f in edges(g):
             if (f.u, f.v, f.weight + 0.0, f.kind) != (e.u, e.v, e.weight + 0.0, e.kind):
                 changed.append(_edited(g, {i: f, f.id: e}))
         for other in changed:
@@ -1149,7 +1150,7 @@ def test_generated_output_always_parses():
         n = rng.randint(2, 40)
         g = generate_graph(n, rng.randint(0, 30), rng.randint(0, 2), rng.randrange(10**6))
         again = parse_graph(format_graph(g))
-        assert again.edges == g.edges
+        assert edges(again) == edges(g)
         assert again.unstable_ids == g.unstable_ids
 
 

@@ -8,6 +8,7 @@ import random
 import tracemalloc
 
 import pytest
+from helpers import M3_TEXT, edges
 
 import mstplan.graph as graph_module
 from mstplan import (
@@ -50,7 +51,7 @@ def test_single_stable_edge():
 
 
 def test_ids_follow_input_order(triangle):
-    assert [e.id for e in triangle.edges] == [0, 1, 2]
+    assert [e.id for e in edges(triangle)] == [0, 1, 2]
     assert triangle.edge(2).kind is EdgeKind.UNSTABLE
     assert triangle.unstable_ids == (2,)
     assert triangle.weight(2) == 10.0
@@ -104,6 +105,18 @@ def test_disconnected_rejected():
         build_graph(3, [(0, 1, 1, "stable")])
     with pytest.raises(Error):
         build_graph(0, [])
+
+    # A vertex count that is not an int is refused before any edge is read.
+    def unread():
+        raise AssertionError("an edge was read")
+        yield
+
+    path = [(0, 1, 1.0, "stable"), (1, 2, 1.0, "stable")]
+    for n in (3.0, 2.5, "3", None):
+        for specs in (path, unread()):
+            with pytest.raises(Error) as info:
+                build_graph(n, specs)
+            assert type(info.value) is Error and "vertex count" in str(info.value)
 
 
 def test_too_few_edges_to_connect_are_refused_before_the_kernel(monkeypatch):
@@ -164,12 +177,12 @@ def test_is_connected_with_exclusions(triangle):
 
 
 def test_set_unstable_weight(triangle):
-    before = list(triangle.edges)
+    before = edges(triangle)
     got = set_unstable_weight(triangle, 2, 7.5)
     assert got is triangle
     assert triangle.weight(2) == 7.5
     # only the one weight moved
-    assert triangle.edges[:2] == before[:2]
+    assert edges(triangle)[:2] == before[:2]
     e = triangle.edge(2)
     assert (e.id, e.u, e.v, e.kind) == (2, 0, 2, EdgeKind.UNSTABLE)
 
@@ -233,20 +246,19 @@ def test_built_and_parsed_edges_are_frozen_edges():
     specs = [(0, 1, 2, "stable"), (0, 1, -0.0, "stable"), (1, 2, 0.5, "unstable"), (0, 2, 7, "unstable")]
     parsed, built = parse_graph(text), build_graph(3, specs)
     assert dataclasses.is_dataclass(Edge) and Edge.__dataclass_params__.frozen
-    for e in parsed.edges + built.edges:
+    for e in edges(parsed) + edges(built):
         assert type(e) is Edge and not hasattr(e, "__dict__")
         same = Edge(e.id, e.u, e.v, e.weight, e.kind)
         assert e == same and hash(e) == hash(same) and repr(e) == repr(same)
         for name in ("id", "u", "v", "weight", "kind"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(e, name, 1)
-    assert parsed.edges == built.edges
-    # A weight change replaces the edge. A copy builds no view; the one it
-    # builds later keeps the old weight.
+    assert edges(parsed) == edges(built)
+    # A weight change reads back in a new edge; a copy keeps the old weight.
     copy = parsed.copy()
     old = parsed.edge(2)
     set_unstable_weight(parsed, 2, 9.0)
-    assert old.weight == 0.5 and copy._edges is None and copy.edge(2) == old
+    assert old.weight == 0.5 and copy.edge(2) == old
     assert parsed.edge(2) == Edge(2, 1, 2, 9.0, EdgeKind.UNSTABLE)
 
 
@@ -330,7 +342,7 @@ def _columns(g):
 
 
 def _edge_fields(g):
-    return [(e.u, e.v, e.weight) for e in g.edges]
+    return [(e.u, e.v, e.weight) for e in edges(g)]
 
 
 def _random_specs(rng):
@@ -387,13 +399,11 @@ def test_every_way_to_make_a_graph_stores_the_same_graph():
         built = build_graph(n, specs)
         text = format_graph(built)
         parsed = parse_graph(text)
-        assert built._edges is None and parsed._edges is None  # no Edge built yet
         unstable = tuple(i for i, spec in enumerate(specs) if spec[3] == "unstable")
         kinds = {"stable": EdgeKind.STABLE, "unstable": EdgeKind.UNSTABLE}
         passed = [Edge(i, u, v, float(w), kinds[k]) for i, (u, v, w, k) in enumerate(specs)]
-        rebuilt = build_graph(n, [(e.u, e.v, e.weight, e.kind) for e in parsed.edges])
+        rebuilt = build_graph(n, [(e.u, e.v, e.weight, e.kind) for e in edges(parsed)])
         copied = built.copy()
-        assert rebuilt._edges is None and copied._edges is None
         assert copied.kernel() is built.kernel()  # only a copy shares the kernel
         for g in (built, parsed, rebuilt, copied):
             assert g.n == n and g.unstable_ids == unstable
@@ -401,25 +411,24 @@ def test_every_way_to_make_a_graph_stores_the_same_graph():
             assert unstable_values(g) == unstable_values(built)
             assert graph_fingerprint(g) == graph_fingerprint(built)
             assert _columns(g) == [(u, v, w) for u, v, w, _ in specs]
-            assert g.edges == passed and g.edges is g.edges
+            assert edges(g) == passed
             assert format_graph(g) == text
 
-        # A weight change writes the column and replaces the one Edge built.
-        viewed, lazy = parse_graph(text), parse_graph(text)
-        before = list(viewed.edges)
-        copy = viewed.copy()
+        # A weight change writes the column, and the edge reads it back.
+        changed_graph = parse_graph(text)
+        before = edges(changed_graph)
+        copy = changed_graph.copy()
         changed = rng.sample(unstable, min(3, len(unstable)))
         for eid in changed:
             x = rng.choice([-0.0, 0.1, 7.0, rng.uniform(-9, 9)])
-            set_unstable_weight(viewed, eid, x)
-            set_unstable_weight(lazy, eid, x)
-            assert viewed.weight(eid) == lazy.weight(eid) == x
-        assert lazy._edges is None
-        assert _edge_fields(viewed) == _columns(viewed) == _columns(lazy) == _edge_fields(lazy)
-        for eid, (old, new) in enumerate(zip(before, viewed.edges)):
-            assert (old is new) == (eid not in changed)
-        # The copy kept the old weights and built no view of its own.
-        assert copy._edges is None and copy.edges == before
+            set_unstable_weight(changed_graph, eid, x)
+            assert changed_graph.weight(eid) == changed_graph.edge(eid).weight == x
+        assert _edge_fields(changed_graph) == _columns(changed_graph)
+        for old, new in zip(before, edges(changed_graph), strict=True):
+            moved = old.id in changed
+            assert new == (dataclasses.replace(old, weight=new.weight) if moved else old)
+        # The copy kept the old weights.
+        assert edges(copy) == before
         assert _columns(copy) == _edge_fields(copy)
         assert graph_fingerprint(copy) == graph_fingerprint(parse_graph(text))
 
@@ -452,7 +461,7 @@ def test_no_edge_object_is_built_to_load_plan_or_answer(tmp_path, monkeypatch):
         x = ps.plans[eid].cv + rng.randint(-50, 49)
         select_tree(ps.plans[eid], x)
         _, ps = apply_change(ps, g, eid, x)
-    assert graph_fingerprint(g) != fingerprint and g._edges is None
+    assert graph_fingerprint(g) != fingerprint
 
     graph, plan = tmp_path / "g.graph", tmp_path / "g.plan"
     graph.write_text(text, encoding="utf-8")
@@ -461,3 +470,10 @@ def test_no_edge_object_is_built_to_load_plan_or_answer(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(["query", str(plan), str(graph), "--edge", str(eid), "--x", "5"]) == 0
     assert out.getvalue().startswith(("variable ", "stable "))
+
+    # The oracle reads the columns too: one verify run enumerates the trees,
+    # and finds critical values, catalog minima and tree totals.
+    graph.write_text(M3_TEXT, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["verify", str(graph)]) == 0
+    assert out.getvalue().count(" OK\n") > 3 and "MISMATCH" not in out.getvalue()

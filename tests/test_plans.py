@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     M3_TEXT,
     bridge_graph,
+    edges,
     plan_sets_equal,
     random_graph,
     random_pairs,
@@ -183,9 +184,9 @@ def test_precompute_all_cardinality(triangle, multi3):
 
 
 def test_precompute_leaves_graph_untouched(multi3):
-    before = list(multi3.edges)
+    before = edges(multi3)
     precompute_all(multi3)
-    assert multi3.edges == before
+    assert edges(multi3) == before
 
 
 def test_apply_change_immediate_then_rebuild(threshold8):
@@ -193,7 +194,7 @@ def test_apply_change_immediate_then_rebuild(threshold8):
     immediate, rebuilt = apply_change(ps, threshold8, 5, 9.0)
     assert immediate.chosen is TreeKind.STABLE
     assert immediate.total_weight == 40.0
-    assert threshold8.weight(5) == 9.0
+    assert threshold8.weight(5) == threshold8.edge(5).weight == 9.0
     assert rebuilt is not ps
     # a single unstable edge's plan does not depend on its own value
     old, new = ps.plans[5], rebuilt.plans[5]
@@ -443,10 +444,10 @@ def test_a_change_to_the_threshold_plans_from_the_id_ordered_tree(edge_first):
 def test_apply_change_refuses_a_stale_plan_set(multi3):
     ps = precompute_all(multi3)
     set_unstable_weight(multi3, 5, 100.0)  # moved behind the plans' back
-    before = list(multi3.edges)
+    before = edges(multi3)
     with pytest.raises(StalePlanSetError):
         apply_change(ps, multi3, 4, 0.0)
-    assert multi3.edges == before
+    assert edges(multi3) == before
 
 
 def test_apply_change_keeps_nothing_from_another_graphs_plans():
@@ -458,10 +459,10 @@ def test_apply_change_keeps_nothing_from_another_graphs_plans():
 
     ps = precompute_all(graph(1.0))
     g = graph(10.0)  # the same unstable values, so no snapshot check sees it
-    before = list(g.edges)
+    before = edges(g)
     with pytest.raises(StalePlanSetError):
         apply_change(ps, g, 3, 4.5)
-    assert g.edges == before
+    assert edges(g) == before
     _, rebuilt = apply_change(precompute_all(g), g, 3, 4.5)
     assert rebuilt.plans == reference_plans(g).plans
 
@@ -480,15 +481,15 @@ def test_a_graph_made_from_anothers_edges_plans_from_its_own():
     with pytest.raises(TypeError):
         dataclasses.replace(g, n=5)
 
-    raised = [(e.u, e.v, 100.0 if e.id == 0 else e.weight, e.kind) for e in g.edges]
+    raised = [(e.u, e.v, 100.0 if e.id == 0 else e.weight, e.kind) for e in edges(g)]
     edited = build_graph(4, raised)
-    assert edited.edges == fresh.edges and edited.kernel() is not g.kernel()
+    assert edges(edited) == edges(fresh) and edited.kernel() is not g.kernel()
     assert plan_sets_equal(precompute_all(edited), reference_plans(fresh))
     with pytest.raises(StalePlanSetError):
         apply_change(ps, edited, 4, 0.5)
     assert unstable_values(edited) == unstable_values(g)
     with pytest.raises(DisconnectedGraphError):
-        build_graph(5, [(e.u, e.v, e.weight, e.kind) for e in g.edges])
+        build_graph(5, [(e.u, e.v, e.weight, e.kind) for e in edges(g)])
 
 
 def test_copy_made_before_the_first_sort_accepts_the_originals_plans():
@@ -505,7 +506,7 @@ def test_copy_made_before_the_first_sort_accepts_the_originals_plans():
 
 def test_failed_rebuild_leaves_the_graph_as_it_was(multi3, monkeypatch):
     ps = precompute_all(multi3)
-    before = list(multi3.edges)
+    before = edges(multi3)
 
     def boom(*args):
         raise RuntimeError("rebuild failed")
@@ -513,7 +514,7 @@ def test_failed_rebuild_leaves_the_graph_as_it_was(multi3, monkeypatch):
     monkeypatch.setattr("mstplan.plans._build_plans", boom)
     with pytest.raises(RuntimeError):
         apply_change(ps, multi3, 4, 0.0)
-    assert multi3.edges == before
+    assert edges(multi3) == before
     monkeypatch.undo()
     _, rebuilt = apply_change(ps, multi3, 4, 0.0)  # the plans are not stale
     assert rebuilt.snapshot[4] == 0.0
@@ -530,11 +531,11 @@ def test_tree_totals_past_the_float_range_are_refused():
 
     g = build_graph(3, [(0, 1, 1, "unstable"), (1, 2, 1, "unstable"), (0, 2, 1e308, "stable")])
     ps = precompute_all(g)
-    before = (list(g.edges), unstable_values(g), format_graph(g))
+    before = (edges(g), unstable_values(g), format_graph(g))
     # At 1e308 on edge 0, edge 1's plan avoids it with the tree {0, 2}.
     with pytest.raises(NonFiniteWeightError, match="overflows"):
         apply_change(ps, g, 0, 1e308)
-    assert (g.edges, unstable_values(g), format_graph(g)) == before
+    assert (edges(g), unstable_values(g), format_graph(g)) == before
     _, rebuilt = apply_change(ps, g, 0, 2.0)  # the plans are not stale
     assert rebuilt.plans == reference_plans(g).plans
 
@@ -567,11 +568,11 @@ def test_planning_leaves_the_graph_alone(multi3, monkeypatch):
         if name == "mstplan" or name.startswith("mstplan."):
             if hasattr(module, "set_unstable_weight"):
                 monkeypatch.setattr(module, "set_unstable_weight", refuse)
-    before = list(multi3.edges)
+    before = edges(multi3)
     ps = precompute_all(multi3)
     frozen = {4: 1.0, 6: 8}
     plan = precompute_plan(multi3, 5, frozen)
-    assert all(a is b for a, b in zip(multi3.edges, before, strict=True))
+    assert edges(multi3) == before
     assert ps.snapshot == unstable_values(multi3)
 
     monkeypatch.undo()
@@ -670,7 +671,7 @@ def test_kernel_holds_every_minimum_tree():
         reach = kernel.forced | set(kernel.stable) | set(g.unstable_ids)
         for _ in range(6):
             for eid in g.unstable_ids:
-                tie = g.edges[rng.randrange(g.num_edges)].weight
+                tie = g.weight(rng.randrange(g.num_edges))
                 set_unstable_weight(g, eid, rng.choice([tie, rng.uniform(-1.0, 5.0)]))
             tree = constrained_mst_kruskal(g).edge_ids
             assert kernel.forced <= tree <= reach
@@ -713,14 +714,14 @@ def test_change_chains_match_the_constrained_kruskal_build():
 
 def _fsum_at(tree, g, values, exclude=None):
     """fsum of ``tree``'s member weights, unstable ones from ``values``."""
-    return math.fsum(values.get(f, g.edges[f].weight) for f in tree.edge_ids if f != exclude)
+    return math.fsum(values.get(f, g.weight(f)) for f in tree.edge_ids if f != exclude)
 
 
 def _fold_at(tree, g, values, exclude=None):
     """The same weights added one by one in ascending id order."""
     total = 0.0
     for f in sorted(tree.edge_ids - {exclude}):
-        total += values.get(f, g.edges[f].weight)
+        total += values.get(f, g.weight(f))
     return total
 
 
