@@ -23,13 +23,13 @@ from pathlib import Path
 from .constrained import constrained_mst_kruskal, tree_total_weight
 from .errors import Error
 from .fileio import (
+    _plan_text,
     format_graph,
     format_value,
     generate_graph,
     parse_events,
     parse_graph,
     plans_from_json,
-    plans_to_json,
 )
 from .graph import set_unstable_weight
 from .oracle import _critical_value, brute_constrained_min, enumerate_spanning_trees
@@ -122,7 +122,7 @@ def cmd_precompute(args) -> int:
     g = parse_graph(_read_text(args.graph))
     ps = precompute_all(g)
     try:
-        Path(args.output).write_text(plans_to_json(ps, g), encoding="utf-8")
+        Path(args.output).write_text(_plan_text(ps, g), encoding="utf-8")
     except OSError as err:
         raise Error(f"cannot write {args.output}: {err.strerror or err}") from None
     for eid in sorted(ps.plans):

@@ -212,14 +212,7 @@ def constrained_mst_prim(
     return SpanningTree.from_edge_ids(g, chosen)
 
 
-def tree_total_weight(
-    t: SpanningTree, g: WeaklyDynamicGraph, exclude: int | None = None
-) -> float:
-    """Total of ``t`` at ``g``'s current values, leaving out ``exclude``'s weight.
-
-    One ``fsum`` of the tree's exact stable sum and its unstable members'
-    values: the correctly rounded sum of the member weights, the same
-    whatever the order of the members.
-    """
-    unstable = [g._weight[eid] for eid in t.unstable_members if eid != exclude]
-    return _fsum((*t._expansion, *unstable))
+def tree_total_weight(t: SpanningTree, g: WeaklyDynamicGraph) -> float:
+    """Total of ``t`` at ``g``'s current values: one ``fsum`` of its exact stable
+    sum and its unstable members' values, correctly rounded in any order."""
+    return _fsum((*t._expansion, *[g._weight[eid] for eid in t.unstable_members]))

@@ -292,8 +292,9 @@ def plans_to_json(ps: PlanSet, g: WeaklyDynamicGraph) -> str:
     The file holds the graph's minimum spanning tree plus each plan's swap,
     so a plan set not built at ``g``'s values, or whose trees or totals are
     not those :func:`precompute_all` builds from ``g``, is refused with
-    :class:`PlanFormatError` before anything is written. Each ``cv`` is
-    written as its plan holds it; the loader checks it.
+    :class:`PlanFormatError` before anything is written; the check fills no
+    lazy tree of a set built on ``g`` or a copy. Each ``cv`` is written as
+    its plan holds it; the loader checks it.
     """
     if dict(ps.snapshot) != unstable_values(g):
         raise PlanFormatError("plan set was built at other unstable values than the graph holds")
@@ -306,6 +307,11 @@ def plans_to_json(ps: PlanSet, g: WeaklyDynamicGraph) -> str:
                 f"edge {eid}: plan is not the graph's minimum spanning tree plus one swap, "
                 "with its trees' totals at the graph's values"
             )
+    return _plan_text(ps, g)
+
+
+def _plan_text(ps: PlanSet, g: WeaklyDynamicGraph) -> str:
+    """The plan file of ``ps``, a set :func:`precompute_all` built from ``g``, unchecked."""
     doc = _document(ps, g, graph_fingerprint(g))
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 

@@ -141,7 +141,8 @@ class _SwappedTree(SpanningTree):
 
     It is made in O(1) and holds only what it was made from. Its fields
     are filled on the first read of any, as for a tree built whole, and it
-    then refers to no other tree.
+    then refers to no other tree. Two unfilled ones that trade the same edges
+    of equal trees of one kernel are equal unfilled; others compare filled.
     """
 
     __slots__ = ("_swap",)
@@ -155,6 +156,17 @@ class _SwappedTree(SpanningTree):
         SpanningTree.__init__(self, *_kernel_fields(g, tree._part - {out} | {into}))
         object.__setattr__(self, "_swap", None)
         return getattr(self, name)
+
+    def __eq__(self, other):
+        # A fill reads only the kernel (copies alone share one, and their
+        # stable weights), the swap and the filled source tree's part: O(k).
+        if isinstance(other, _SwappedTree) and self._swap is not None and other._swap is not None:
+            (g, tree, *swap), (h, other_tree, *other_swap) = self._swap, other._swap
+            if swap == other_swap and g.kernel() is h.kernel() and tree._part == other_tree._part:
+                return True
+        return SpanningTree.__eq__(self, other)
+
+    __hash__ = SpanningTree.__hash__
 
 
 def _swapped(g: WeaklyDynamicGraph, tree: SpanningTree, out: int, into: int) -> SpanningTree:

@@ -178,7 +178,7 @@ def reference_plans(g) -> PlanSet:
             mst_v = constrained_mst_kruskal(
                 g, Constraints(mandatory={eid}, forbidden=outside)
             )
-        s_v = tree_total_weight(mst_v, g, exclude=eid)
+        s_v = float(_exact_total(g, mst_v, eid))
         if mst_s is None:
             d_s = cv = math.inf
             swap = None

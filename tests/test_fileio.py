@@ -15,6 +15,7 @@ from helpers import (
     PARALLEL_TEXT,
     THRESHOLD8_TEXT,
     TRIANGLE_TEXT,
+    _exact_total,
     edges,
     plan_sets_equal,
     random_graph,
@@ -57,8 +58,10 @@ from mstplan import (
     write_graph,
     write_plans,
 )
+from mstplan.cli import main
 from mstplan.fileio import _CHUNK, _NEGATIVE_ZERO
 from mstplan.graph import Kernel
+from mstplan.plans import _SwappedTree
 
 
 def test_format_value():
@@ -760,7 +763,7 @@ def at_weights(plan, g):
         for t in (plan.mst_s, plan.mst_v)
     )
     d_s = math.inf if mst_s is None else tree_total_weight(mst_s, g)
-    s_v = tree_total_weight(mst_v, g, exclude=plan.edge_id)
+    s_v = float(_exact_total(g, mst_v, plan.edge_id))
     return dataclasses.replace(plan, mst_s=mst_s, d_s=d_s, mst_v=mst_v, s_v=s_v, cv=d_s - s_v)
 
 
@@ -818,7 +821,7 @@ def test_spanning_tree_that_is_not_minimum_is_refused(threshold8):
     tree = SpanningTree.from_edge_ids(threshold8, [0, 1, 2, 3, 4])
     with_edge = SpanningTree.from_edge_ids(threshold8, [0, 2, 3, 4, 5])
     d_s = tree_total_weight(tree, threshold8)
-    s_v = tree_total_weight(with_edge, threshold8, exclude=5)
+    s_v = float(_exact_total(threshold8, with_edge, 5))
 
     def other_tree(doc):
         doc["tree"] = [0, 1, 2, 3, 4]
@@ -962,6 +965,57 @@ def test_writer_and_loader_each_run_precompute_alls_kruskals(monkeypatch):
     calls.clear()
     plans_from_json(text, g)
     assert len(calls) == 1
+
+
+def test_precompute_command_builds_its_plans_once(monkeypatch, tmp_path):
+    # The command writes the set it has just built, with no check that
+    # builds it again: one Kruskal, and the file the checked writer gives.
+    rng = random.Random(2178)
+    unstable = rng.sample(range(29 + 60), 5)
+    g = random_graph(rng, 30, 60, unstable=unstable)
+    graph, plan = tmp_path / "g.txt", tmp_path / "g.plan"
+    write_graph(g, graph)
+    calls = []
+    spanning = Kernel.spanning
+
+    def counted(kernel, order):
+        calls.append(order)
+        return spanning(kernel, order)
+
+    monkeypatch.setattr(Kernel, "spanning", counted)
+    assert main(["precompute", str(graph), "-o", str(plan)]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert plan.read_text(encoding="utf-8") == plans_to_json(precompute_all(g), g)
+
+
+def test_the_writer_fills_no_other_tree_of_the_set_it_writes():
+    # A plan's other tree is made in O(1) and filled on its first read. The
+    # writer compares each with the fresh build's without that read: on a
+    # new set, and along a change chain whose kept plans hold older trees.
+    rng = random.Random(2626)
+    unstable = rng.sample(range(39 + 120), 6)
+    g = random_graph(rng, 40, 120, unstable=unstable)
+    ps = precompute_all(g)
+
+    def unfilled():
+        return [
+            tree for plan in ps.plans.values() for tree in (plan.mst_s, plan.mst_v)
+            if isinstance(tree, _SwappedTree) and tree._swap is not None
+        ]
+
+    for step in range(21):
+        lazy = unfilled()
+        assert lazy
+        plans_to_json(ps, g)
+        assert unfilled() == lazy, f"after {step} changes"
+        if step < 20:
+            eid = rng.choice(unstable)
+            cv = ps.plans[eid].cv
+            x = float(rng.randint(1, 20))
+            if cv < math.inf:
+                x = rng.choice([cv, cv - 1, cv + 1, x])
+            _, ps = apply_change(ps, g, eid, x)
 
 
 def test_plan_files_keep_their_bytes():

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from helpers import (
     M3_TEXT,
+    _exact_total,
     bridge_graph,
     edges,
     plan_sets_equal,
@@ -767,7 +768,7 @@ def test_totals_are_correctly_rounded_sums_of_the_tree_weights():
                         assert total == _fsum_at(tree, g, values, exclude)
                         again = SpanningTree.from_edge_ids(g, tree.edge_ids)
                         assert again == tree  # ids, stable_sum, unstable_members
-                        assert tree_total_weight(again, g, exclude) == total
+                        assert float(_exact_total(g, again, exclude)) == total
                         unfolded += total != _fold_at(tree, g, values, exclude)
                         checked += 1
             x = g.weight(rng.randrange(g.num_edges)) if rng.random() < 0.5 else draw()
@@ -895,6 +896,83 @@ def test_kernel_trees_equal_the_same_trees_built_any_other_way():
     other = dataclasses.replace(tree, _part=frozenset({2, 5}))
     assert other == SpanningTree.from_edge_ids(g, {0, 2, 5}) and other != tree
     assert (other.stable_sum, other.unstable_members) == (tree.stable_sum, tree.unstable_members)
+
+
+def test_unfilled_other_trees_compare_as_their_filled_trees():
+    # Fresh, unfilled other trees from plan sets of one graph, of its copy
+    # (one kernel), of a rebuild of it and of a graph with other stable
+    # weights (other kernels), and along a change chain, some changes to the
+    # threshold. Non-integer weights with ties, parallel edges and a bridge.
+    # Each comparison gives what the same trees give filled, and equal
+    # trees hash alike.
+    rng = random.Random(2626)
+    pool = (0.1, 0.2, 0.3, 0.7, 2.5)
+
+    def draw():
+        return rng.choice(pool) if rng.random() < 0.6 else rng.uniform(-1.0, 3.0)
+
+    def lazy(tree):
+        return isinstance(tree, plans_module._SwappedTree) and tree._swap is not None
+
+    unfilled_equal = filled_equal = compared = 0
+    for _ in range(80):
+        n = rng.randint(2, 9)
+        pairs = random_pairs(rng, n, rng.randint(0, 2 * n))
+        pairs += rng.choices(pairs, k=rng.randint(1, 3))  # parallel edges
+        pairs.append((rng.randrange(n), n))  # a bridge to one more vertex
+        unstable = rng.sample(range(len(pairs)), rng.randint(1, min(5, len(pairs))))
+        weights = [draw() for _ in pairs]
+        others = [
+            w if i in unstable or rng.random() < 0.7 else draw() for i, w in enumerate(weights)
+        ]
+        changes = [(rng.choice(unstable), draw(), rng.random() < 0.3) for _ in range(6)]
+
+        def other_trees():
+            """Per plan set, its plans' unfilled other trees by (edge, side)."""
+            g, h, rebuilt = (
+                build_graph(n + 1, [
+                    (u, v, w, "unstable" if i in unstable else "stable")
+                    for i, ((u, v), w) in enumerate(zip(pairs, ws))
+                ])
+                for ws in (weights, others, weights)
+            )
+            sets = [precompute_all(g), precompute_all(g.copy()), precompute_all(h)]
+            sets.append(precompute_all(rebuilt))
+            ps = sets[0]
+            for eid, x, at_threshold in changes:
+                cv = ps.plans[eid].cv
+                _, ps = apply_change(ps, g, eid, cv if at_threshold and cv < math.inf else x)
+                sets.append(ps)
+            trees, seen = [], set()  # a kept plan's trees are in later sets too
+            for ps in sets:
+                trees.append({})
+                for eid, p in ps.plans.items():
+                    for side, tree in enumerate((p.mst_s, p.mst_v)):
+                        if lazy(tree) and id(tree) not in seen:
+                            trees[-1][eid, side] = tree
+                            seen.add(id(tree))
+            return trees
+
+        filled = other_trees()
+        for tree in (tree for trees in filled for tree in trees.values()):
+            tree.edge_ids  # the first read of a field fills the tree
+        for round_ in range(4):
+            trees = other_trees()
+            entries = [(s, key) for s, by_key in enumerate(trees) for key in by_key]
+            rng.shuffle(entries)
+            if round_ % 2 == 0:  # mostly the same edge and side of two sets
+                entries.sort(key=lambda entry: entry[1])
+            for (s, key), (t, other_key) in zip(entries[::2], entries[1::2]):
+                a, b = trees[s][key], trees[t][other_key]
+                assert lazy(a) and lazy(b)
+                equal = a == b
+                assert equal == (filled[s][key] == filled[t][other_key])
+                unfilled_equal += equal and lazy(a) and lazy(b)
+                filled_equal += equal and not lazy(a)
+                if equal:
+                    assert hash(a) == hash(b)
+                compared += 1
+    assert compared > 2000 and unfilled_equal > 400 and filled_equal > 400
 
 
 def test_quarter_weight_what_ifs_match_a_fresh_kruskal():
@@ -1108,4 +1186,4 @@ def test_swapped_trees_match_independent_searches():
                 assert plan.d_s == tree_total_weight(avoiding, view)
             containing = constrained_mst_prim(view, e)
             assert plan.mst_v.edge_ids == containing.edge_ids
-            assert plan.s_v == tree_total_weight(containing, view, exclude=e)
+            assert plan.s_v == float(_exact_total(view, containing, e))
