@@ -64,6 +64,10 @@ class SpanningTree:
     added in. The tree keeps their exact sum as a short tuple of floats,
     from which every total of the tree is one ``fsum``.
     ``unstable_members`` are the member edges whose weights may still move.
+
+    A plan's other tree, one swap of a kernel tree, is made in O(1) by
+    :func:`_swapped` and filled on the first read of any field. Two unfilled
+    trees that trade the same edges of equal trees of one kernel are equal.
     """
 
     _base: frozenset[int]
@@ -73,9 +77,20 @@ class SpanningTree:
     _expansion: tuple[float, ...] = field(repr=False)
     stable_sum: float = field(init=False)
     _ids: frozenset[int] | None = field(init=False, default=None, repr=False)
+    # (graph, tree, out, into) until an unfilled other tree is filled.
+    _swap: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "stable_sum", _fsum(self._expansion))
+
+    def __getattr__(self, name):
+        # Reached for a name no slot holds yet: every field of an unfilled tree.
+        swap = object.__getattribute__(self, "_swap")
+        if swap is None:
+            raise AttributeError(name)
+        g, tree, out, into = swap
+        SpanningTree.__init__(self, *_kernel_fields(g, tree._part - {out} | {into}))
+        return getattr(self, name)
 
     @property
     def edge_ids(self) -> frozenset[int]:
@@ -86,6 +101,12 @@ class SpanningTree:
     def __eq__(self, other):
         if not isinstance(other, SpanningTree):
             return NotImplemented
+        # A fill reads only the kernel (copies alone share one, and their
+        # stable weights), the swap and the filled source tree's part: O(k).
+        if self._swap is not None and other._swap is not None:
+            (g, tree, *swap), (h, other_tree, *other_swap) = self._swap, other._swap
+            if swap == other_swap and g.kernel() is h.kernel() and tree._part == other_tree._part:
+                return True
         if self._base is other._base:  # O(k): the trees differ in their parts only
             same_ids = self._part == other._part
         else:
@@ -104,12 +125,30 @@ class SpanningTree:
         cls, g: WeaklyDynamicGraph, ids: Iterable[int]
     ) -> "SpanningTree":
         ids = frozenset(ids)
-        for eid in filterfalse(int.__instancecheck__, ids):
-            g._check_edge(eid)  # refuses an id that is not an int
+        if not {int}.issuperset(map(type, ids)):  # a bool is an int, but not an id
+            for eid in ids:
+                g._check_edge(eid)  # refuses the first id of no edge
         if ids:  # the int extremes raise UnknownEdgeError for any id out of range
             g._check_edge(min(ids))
             g._check_edge(max(ids))
         return _whole_tree(g, ids, g._weight)
+
+
+def _kernel_fields(g: WeaklyDynamicGraph, part: frozenset[int]) -> tuple:
+    """The fields of the tree of the kernel's forced edges plus the kernel edges ``part``."""
+    kernel = g.kernel()
+    unstable = part.intersection(g.unstable_ids)
+    # The stable sum is the forced edges' exact sum plus the at most k
+    # stable kernel weights: no pass over the tree's n - 1 edges.
+    stable = kernel._forced_expansion + tuple(g._weight[f] for f in part - unstable)
+    return kernel.forced, part, unstable, stable
+
+
+def _swapped(g: WeaklyDynamicGraph, tree: SpanningTree, out: int, into: int) -> SpanningTree:
+    """``tree``, a tree of ``g``'s kernel, with the edge ``out`` traded for ``into``; unfilled."""
+    other = object.__new__(SpanningTree)
+    object.__setattr__(other, "_swap", (g, tree, out, into))
+    return other
 
 
 def _whole_tree(g: WeaklyDynamicGraph, ids: frozenset, weight: Sequence[float]) -> SpanningTree:

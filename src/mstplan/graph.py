@@ -229,7 +229,7 @@ class WeaklyDynamicGraph:
         return len(self._weight)
 
     def _check_edge(self, edge_id: int) -> None:
-        if not (isinstance(edge_id, int) and 0 <= edge_id < len(self._weight)):
+        if not (type(edge_id) is int and 0 <= edge_id < len(self._weight)):
             raise UnknownEdgeError(f"no edge with id {edge_id!r}")
 
     def _is_unstable(self, edge_id: int) -> bool:
@@ -302,7 +302,7 @@ def build_graph(
     Edge ids are assigned densely in input order. The graph restricted to all
     edges must be connected.
     """
-    if not (isinstance(n, int) and n >= 1):
+    if not (type(n) is int and n >= 1):
         raise Error(f"vertex count must be an int >= 1, got {n!r}")
     us: list[int] = []
     vs: list[int] = []
@@ -320,7 +320,7 @@ def build_graph(
 
 
 def _validate_edge(n: int, u: int, v: int, weight: float) -> float:
-    if not (isinstance(u, int) and isinstance(v, int)):
+    if not (type(u) is int and type(v) is int):
         raise VertexOutOfRangeError(f"endpoints must be integers, got ({u!r}, {v!r})")
     if not (0 <= u < n and 0 <= v < n):
         raise VertexOutOfRangeError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")

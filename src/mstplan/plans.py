@@ -19,7 +19,8 @@ nor copies. Every plan it builds holds one tree object, the minimum
 spanning tree at the vector, and its ``swap``, the edge its other tree
 trades (Tarjan, "Sensitivity analysis of minimum spanning trees and
 shortest path trees", IPL 1982); one pass over the kernel tree finds every
-swap. The other tree is made in O(1), and each total is one ``fsum``.
+swap. The other tree, a ``SpanningTree`` too, is made in O(1) from that tree
+and its swap, and each total is one ``fsum``.
 
 With several unstable edges, one plan is kept per edge, each computed with
 the *other* unstable edges frozen at the set's snapshot, stored once. Under
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
-from .constrained import SpanningTree
+from .constrained import SpanningTree, _kernel_fields, _swapped
 from .errors import (
     Error,
     FrozenIncompleteError,
@@ -124,55 +125,6 @@ _VARIABLE = TreeKind.VARIABLE
 _STABLE = TreeKind.STABLE
 # NamedTuple's generated __new__ runs in Python; this builds the same tuple.
 _new_tuple = tuple.__new__
-
-
-def _kernel_fields(g: WeaklyDynamicGraph, part: frozenset[int]) -> tuple:
-    """The fields of the tree of the kernel's forced edges plus the kernel edges ``part``."""
-    kernel = g.kernel()
-    unstable = part.intersection(g.unstable_ids)
-    # The stable sum is the forced edges' exact sum plus the at most k
-    # stable kernel weights: no pass over the tree's n - 1 edges.
-    stable = kernel._forced_expansion + tuple(g._weight[f] for f in part - unstable)
-    return kernel.forced, part, unstable, stable
-
-
-class _SwappedTree(SpanningTree):
-    """A plan's other tree: a kernel tree with the edge ``out`` traded for ``into``.
-
-    It is made in O(1) and holds only what it was made from. Its fields
-    are filled on the first read of any, as for a tree built whole, and it
-    then refers to no other tree. Two unfilled ones that trade the same edges
-    of equal trees of one kernel are equal unfilled; others compare filled.
-    """
-
-    __slots__ = ("_swap",)
-
-    def __getattr__(self, name):
-        # Reached only for an unset slot: every field, before the fill.
-        swap = object.__getattribute__(self, "_swap")
-        if swap is None:
-            raise AttributeError(name)
-        g, tree, out, into = swap
-        SpanningTree.__init__(self, *_kernel_fields(g, tree._part - {out} | {into}))
-        object.__setattr__(self, "_swap", None)
-        return getattr(self, name)
-
-    def __eq__(self, other):
-        # A fill reads only the kernel (copies alone share one, and their
-        # stable weights), the swap and the filled source tree's part: O(k).
-        if isinstance(other, _SwappedTree) and self._swap is not None and other._swap is not None:
-            (g, tree, *swap), (h, other_tree, *other_swap) = self._swap, other._swap
-            if swap == other_swap and g.kernel() is h.kernel() and tree._part == other_tree._part:
-                return True
-        return SpanningTree.__eq__(self, other)
-
-    __hash__ = SpanningTree.__hash__
-
-
-def _swapped(g: WeaklyDynamicGraph, tree: SpanningTree, out: int, into: int) -> SpanningTree:
-    other = object.__new__(_SwappedTree)
-    object.__setattr__(other, "_swap", (g, tree, out, into))
-    return other
 
 
 def _build_plans(

@@ -8,10 +8,13 @@ from mstplan import parse_graph
 
 # pyproject's ``pythonpath`` puts src/ on this process's import path only;
 # child processes the tests start (``python -m mstplan ...``) need it too.
+# They also turn a warning into an error, as pyproject's ``filterwarnings``
+# does in this process.
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [_SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]
 )
+os.environ["PYTHONWARNINGS"] = "error"
 
 
 @pytest.fixture

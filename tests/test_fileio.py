@@ -61,7 +61,6 @@ from mstplan import (
 from mstplan.cli import main
 from mstplan.fileio import _CHUNK, _NEGATIVE_ZERO
 from mstplan.graph import Kernel
-from mstplan.plans import _SwappedTree
 
 
 def test_format_value():
@@ -1001,7 +1000,7 @@ def test_the_writer_fills_no_other_tree_of_the_set_it_writes():
     def unfilled():
         return [
             tree for plan in ps.plans.values() for tree in (plan.mst_s, plan.mst_v)
-            if isinstance(tree, _SwappedTree) and tree._swap is not None
+            if tree is not None and tree._swap is not None
         ]
 
     for step in range(21):

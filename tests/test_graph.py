@@ -12,6 +12,7 @@ from helpers import M3_TEXT, edges
 
 import mstplan.graph as graph_module
 from mstplan import (
+    Constraints,
     DisconnectedGraphError,
     DisjointSetUnion,
     Edge,
@@ -27,6 +28,8 @@ from mstplan import (
     WeaklyDynamicGraph,
     apply_change,
     build_graph,
+    constrained_mst_kruskal,
+    constrained_mst_prim,
     format_graph,
     generate_graph,
     graph_fingerprint,
@@ -164,6 +167,40 @@ def test_unknown_edge_lookup(triangle):
     for ids in ({0, 3}, {-1, 1}, {0, 1.5, 2}, {0, 1.0, 2}, {0, "1", 2}):
         with pytest.raises(UnknownEdgeError):
             SpanningTree.from_edge_ids(triangle, ids)
+
+
+def test_a_bool_is_no_edge_id_endpoint_or_vertex_count():
+    # bool subclasses int, but True and False name no edge, vertex or count:
+    # each entry point refuses them as it refuses 1.0, before any change.
+    g = build_graph(3, [(0, 1, 1.0, "unstable"), (1, 2, 2.0, "unstable"), (0, 2, 10.0, "stable")])
+    ps = precompute_all(g)
+    text = plans_to_json(ps, g)
+    calls = (
+        g.edge,
+        g.weight,
+        lambda eid: is_connected(g, {eid}),
+        lambda eid: set_unstable_weight(g, eid, 9.0),
+        lambda eid: apply_change(ps, g, eid, 9.0),
+        lambda eid: constrained_mst_prim(g, eid),
+        lambda eid: constrained_mst_kruskal(g, Constraints(mandatory={eid})),
+        lambda eid: SpanningTree.from_edge_ids(g, [eid, 0, 2]),  # the extremes are ints
+        lambda eid: SpanningTree.from_edge_ids(g, [eid]),
+    )
+    for bad in (True, False, 1.0):
+        for call in calls:
+            with pytest.raises(UnknownEdgeError):
+                call(bad)
+    with pytest.raises(UnknownEdgeError):
+        SpanningTree.from_edge_ids(g, [False, True])
+    assert unstable_values(g) == {0: 1.0, 1: 2.0}
+    assert plans_to_json(ps, g) == text
+    for u, v in ((False, True), (0, True), (False, 1), (0.0, 1)):
+        with pytest.raises(VertexOutOfRangeError):
+            build_graph(2, [(u, v, 1.0, "stable")])
+    for n in (True, False, 1.0):
+        with pytest.raises(Error) as info:
+            build_graph(n, [])
+        assert type(info.value) is Error and "vertex count" in str(info.value)
 
 
 def test_is_connected_with_exclusions(triangle):

@@ -1,7 +1,9 @@
 """Per-edge plans: precomputation, constant-time selection, change handling."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import random
 import sys
 import weakref
@@ -912,7 +914,7 @@ def test_unfilled_other_trees_compare_as_their_filled_trees():
         return rng.choice(pool) if rng.random() < 0.6 else rng.uniform(-1.0, 3.0)
 
     def lazy(tree):
-        return isinstance(tree, plans_module._SwappedTree) and tree._swap is not None
+        return tree is not None and tree._swap is not None
 
     unfilled_equal = filled_equal = compared = 0
     for _ in range(80):
@@ -1187,3 +1189,39 @@ def test_swapped_trees_match_independent_searches():
             containing = constrained_mst_prim(view, e)
             assert plan.mst_v.edge_ids == containing.edge_ids
             assert plan.s_v == float(_exact_total(view, containing, e))
+
+
+@pytest.mark.parametrize("changes", [0, 20])
+def test_pickled_and_deep_copied_plan_sets_answer_as_the_original(changes):
+    # A copy of a (graph, plan set) pair, fresh or after a change chain with
+    # some changes to the threshold, holds equal trees, writes the same
+    # bytes and answers every change as the original does.
+    rng = random.Random(2727)
+    unstable = rng.sample(range(39 + 120), 6)
+    g = random_graph(rng, 40, 120, unstable=unstable)
+    ps = precompute_all(g)
+    for step in range(changes):
+        eid = rng.choice(unstable)
+        cv = ps.plans[eid].cv
+        x = cv if cv < math.inf and step % 3 == 0 else float(rng.randint(1, 20))
+        _, ps = apply_change(ps, g, eid, x)
+    copies = [pickle.loads(pickle.dumps((g, ps))), copy.deepcopy((g, ps))]
+
+    def answer(g, ps, eid, x):
+        h = g.copy()
+        selection, rebuilt = apply_change(ps, h, eid, x)
+        return selection, plans_to_json(rebuilt, h)
+
+    probes = [(eid, x) for eid in unstable for x in (ps.plans[eid].cv, 0.5, 30.0) if x < math.inf]
+    answers = [answer(g, ps, eid, x) for eid, x in probes]
+    text = plans_to_json(ps, g)
+    for g2, ps2 in copies:
+        assert ps2.plans.keys() == ps.plans.keys()
+        for eid, plan in ps.plans.items():
+            copied = ps2.plans[eid]
+            for tree, tree2 in ((plan.mst_s, copied.mst_s), (plan.mst_v, copied.mst_v)):
+                assert tree2 == tree and hash(tree2) == hash(tree)
+        assert plans_to_json(ps2, g2) == text
+        assert [answer(g2, ps2, eid, x) for eid, x in probes] == answers
+    # A tree with no field set and no swap has no attribute, as any object.
+    assert getattr(object.__new__(SpanningTree), "x", None) is None

@@ -41,6 +41,51 @@ def test_no_module_imports_a_name_it_never_uses(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
 
 
+def is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether ``node`` is decorated ``@dataclass``, with or without arguments."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def undeclared_dataclass_subclasses(sources) -> list[str]:
+    """Classes of ``sources`` that subclass one of their ``@dataclass``es without being one.
+
+    Such a class's own slots hide from ``dataclasses.fields``, and so from the
+    dataclass's copy, pickle, ``replace`` and ``repr``.
+    """
+    classes = [
+        node for source in sources for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+    ]
+    declared = {node.name for node in classes if is_dataclass(node)}
+    return sorted(
+        node.name for node in classes
+        if not is_dataclass(node)
+        and any(getattr(base, "id", getattr(base, "attr", None)) in declared for base in node.bases)
+    )
+
+
+def test_undeclared_dataclass_subclasses_are_found():
+    source = (
+        "import dataclasses\nfrom dataclasses import dataclass\n"
+        "@dataclass(frozen=True, slots=True)\nclass A:\n    x: int\n"
+        "@dataclasses.dataclass\nclass B:\n    y: int\n"
+        "class C(A):\n    __slots__ = ('z',)\n"
+        "class D(dataclasses.Field, B):\n    pass\n"
+        "@dataclass\nclass E(A):\n    z: int = 0\n"
+        "class F(Exception):\n    pass\n"
+    )
+    assert undeclared_dataclass_subclasses([source]) == ["C", "D"]
+
+
+def test_every_subclass_of_a_package_dataclass_is_a_dataclass():
+    sources = [p.read_text(encoding="utf-8") for p in MODULES]
+    assert undeclared_dataclass_subclasses(sources) == []
+
+
 def test_public_names_are_the_sorted_imports_of_the_package():
     import mstplan
 
@@ -70,7 +115,7 @@ UNREAD_PUBLIC_NAMES = {
 
 # Public names that only a benchmark script reads, each with the reason it is
 # kept. The first two wait on the benchmark change that drops their per-layer
-# metrics and then the names themselves (ROADMAP item 2). A name here that gains
+# metrics and then the names themselves (ROADMAP item 1). A name here that gains
 # a reader in the package or a demo, or loses its benchmark reader, fails the
 # test below, as does a new name only the benchmark reads.
 BENCHMARK_ONLY_PUBLIC_NAMES = {
