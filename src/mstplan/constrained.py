@@ -13,7 +13,7 @@ set.
 Both return an :class:`Infeasible` value (never raise) when no such tree
 exists: either the mandatory set already contains a cycle, or removing the
 forbidden set disconnects the graph. All functions are pure with respect to
-the graph and safe to call concurrently on a shared snapshot.
+the graph and, like a tree's reads, safe to run at once on a shared snapshot.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import filterfalse
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import InvalidConstraintsError
 from .graph import WeaklyDynamicGraph, _exact_sum, _fsum, _kruskal
@@ -66,7 +66,8 @@ class SpanningTree:
     ``unstable_members`` are the member edges whose weights may still move.
 
     A plan's other tree, one swap of a kernel tree, is made in O(1) by
-    :func:`_swapped` and filled on the first read of any field. Two unfilled
+    :func:`_swapped`, copied unfilled, and filled by one ``__init__`` on the
+    first read of any field, which threads may make at once. Two unfilled
     trees that trade the same edges of equal trees of one kernel are equal.
     """
 
@@ -75,36 +76,38 @@ class SpanningTree:
     unstable_members: frozenset[int]
     # Floats whose exact sum is the exact sum of the stable member weights.
     _expansion: tuple[float, ...] = field(repr=False)
-    stable_sum: float = field(init=False)
+    stable_sum: float
     _ids: frozenset[int] | None = field(init=False, default=None, repr=False)
-    # (graph, tree, out, into) until an unfilled other tree is filled.
+    # (graph, tree, out, into) until a plan's other tree is filled. It is the last
+    # field, so a fill's one __init__ sets it None last: then every field is set.
     _swap: tuple | None = field(init=False, default=None, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "stable_sum", _fsum(self._expansion))
-
     def __getattr__(self, name):
-        # Reached for a name no slot holds yet: every field of an unfilled tree.
+        # Reached for a name no slot held: a field of an unfilled tree, or one a fill set since.
         swap = object.__getattribute__(self, "_swap")
-        if swap is None:
-            raise AttributeError(name)
+        if swap is None or name[:2] == "__":  # a dunder probe, as deepcopy's, fills nothing
+            return object.__getattribute__(self, name)
         g, tree, out, into = swap
         SpanningTree.__init__(self, *_kernel_fields(g, tree._part - {out} | {into}))
         return getattr(self, name)
 
+    def __reduce_ex__(self, protocol):  # an unfilled tree is copied unfilled, as its swap
+        return (_swapped, swap) if (swap := self._swap) else object.__reduce_ex__(self, protocol)
+
     @property
     def edge_ids(self) -> frozenset[int]:
-        if self._ids is None:
-            object.__setattr__(self, "_ids", self._base | self._part if self._part else self._base)
-        return self._ids
+        if (ids := self._ids) is None:  # one read: a concurrent fill resets it to None
+            ids = self._base | self._part if self._part else self._base
+            object.__setattr__(self, "_ids", ids)
+        return ids
 
     def __eq__(self, other):
         if not isinstance(other, SpanningTree):
             return NotImplemented
         # A fill reads only the kernel (copies alone share one, and their
         # stable weights), the swap and the filled source tree's part: O(k).
-        if self._swap is not None and other._swap is not None:
-            (g, tree, *swap), (h, other_tree, *other_swap) = self._swap, other._swap
+        if (mine := self._swap) is not None and (theirs := other._swap) is not None:  # read once
+            (g, tree, *swap), (h, other_tree, *other_swap) = mine, theirs
             if swap == other_swap and g.kernel() is h.kernel() and tree._part == other_tree._part:
                 return True
         if self._base is other._base:  # O(k): the trees differ in their parts only
@@ -120,19 +123,6 @@ class SpanningTree:
     def __hash__(self):
         return hash(self.edge_ids)
 
-    @classmethod
-    def from_edge_ids(
-        cls, g: WeaklyDynamicGraph, ids: Iterable[int]
-    ) -> "SpanningTree":
-        ids = frozenset(ids)
-        if not {int}.issuperset(map(type, ids)):  # a bool is an int, but not an id
-            for eid in ids:
-                g._check_edge(eid)  # refuses the first id of no edge
-        if ids:  # the int extremes raise UnknownEdgeError for any id out of range
-            g._check_edge(min(ids))
-            g._check_edge(max(ids))
-        return _whole_tree(g, ids, g._weight)
-
 
 def _kernel_fields(g: WeaklyDynamicGraph, part: frozenset[int]) -> tuple:
     """The fields of the tree of the kernel's forced edges plus the kernel edges ``part``."""
@@ -141,7 +131,7 @@ def _kernel_fields(g: WeaklyDynamicGraph, part: frozenset[int]) -> tuple:
     # The stable sum is the forced edges' exact sum plus the at most k
     # stable kernel weights: no pass over the tree's n - 1 edges.
     stable = kernel._forced_expansion + tuple(g._weight[f] for f in part - unstable)
-    return kernel.forced, part, unstable, stable
+    return kernel.forced, part, unstable, stable, _fsum(stable)
 
 
 def _swapped(g: WeaklyDynamicGraph, tree: SpanningTree, out: int, into: int) -> SpanningTree:
@@ -152,9 +142,10 @@ def _swapped(g: WeaklyDynamicGraph, tree: SpanningTree, out: int, into: int) -> 
 
 
 def _whole_tree(g: WeaklyDynamicGraph, ids: frozenset, weight: Sequence[float]) -> SpanningTree:
-    """The tree of ``g``'s edges ``ids``, checked already, with no part; ``weight`` is by id."""
+    """The tree of ``g``'s edges ``ids``, a spanning tree, with no part; ``weight`` is by id."""
     unstable = ids.intersection(g.unstable_ids)
-    return SpanningTree(ids, frozenset(), unstable, _exact_sum([weight[f] for f in ids - unstable]))
+    stable = _exact_sum([weight[f] for f in ids - unstable])
+    return SpanningTree(ids, frozenset(), unstable, stable, _fsum(stable))
 
 
 MANDATORY_CYCLE = "mandatory-cycle"
@@ -248,7 +239,7 @@ def constrained_mst_prim(
 
     if len(chosen) != need:
         return Infeasible(FORBIDDEN_DISCONNECTS)
-    return SpanningTree.from_edge_ids(g, chosen)
+    return _whole_tree(g, frozenset(chosen), weight)
 
 
 def tree_total_weight(t: SpanningTree, g: WeaklyDynamicGraph) -> float:

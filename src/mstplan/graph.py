@@ -15,8 +15,8 @@ plus a tree of its small :class:`Kernel`. A graph comes from parsing or from
 :func:`build_graph`, and each is built with its kernel, whose build is the
 graph's connectivity check. Only copies share a kernel.
 
-Graphs are safe to share read-only across threads; weight replacement needs
-exclusive access. There is no internal locking.
+Graphs, and the trees and plans built on them, are safe to share read-only
+across threads; weight replacement needs exclusive access. No lock is taken.
 """
 
 from __future__ import annotations

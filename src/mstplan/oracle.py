@@ -27,6 +27,7 @@ from .constrained import (
     Infeasible,
     MstResult,
     SpanningTree,
+    _whole_tree,
 )
 from .errors import Error, NotUnstableError, TooLargeError
 from .graph import DisjointSetUnion, EdgeKind, WeaklyDynamicGraph
@@ -94,7 +95,7 @@ def brute_constrained_min(
             best = key
     if best is None:
         return Infeasible(_infeasible_reason(g, mandatory))
-    return SpanningTree.from_edge_ids(g, best[1])
+    return _whole_tree(g, frozenset(best[1]), g._weight)
 
 
 def _infeasible_reason(g: WeaklyDynamicGraph, mandatory: frozenset[int]) -> str:

@@ -30,9 +30,9 @@ minimum tree off it and rebuilds the others around that tree; one whose
 value did not move keeps all. They all freeze one snapshot, so a rebuild
 touches no edge outside the kernel.
 
-Plans and plan sets are immutable once built. Selection is read-only and may
-run concurrently with a rebuild as long as the rebuilt plan set is published
-atomically (single writer, many readers).
+Plans and plan sets are immutable once built; a lazy tree's one ``__init__``
+publishes it whole with its last write. Selection may run during a rebuild
+once the rebuilt set is published atomically (single writer, many readers).
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from mstplan import (
     tree_total_weight,
     unstable_values,
 )
+from mstplan.constrained import _whole_tree
 
 TRIANGLE_TEXT = """\
 p wdg 3 3
@@ -117,6 +118,18 @@ def random_constraints(rng, g) -> Constraints:
         mandatory=frozenset(ids[:k_plus]),
         forbidden=frozenset(ids[k_plus : k_plus + k_minus]),
     )
+
+
+def reference_tree(g, ids):
+    """The ``SpanningTree`` of ``g``'s edges ``ids``, which must be n - 1
+    distinct in-range int ids with no cycle; anything else is refused."""
+    ids = list(ids)
+    dsu = DisjointSetUnion(g.n)
+    if len(ids) != g.n - 1 or not all(
+        type(f) is int and 0 <= f < g.num_edges and dsu.union(g._u[f], g._v[f]) for f in ids
+    ):
+        raise ValueError(f"edges {ids!r} are not a spanning tree of the graph")
+    return _whole_tree(g, frozenset(ids), g._weight)
 
 
 def assert_valid_tree(t, g, constraints=None):

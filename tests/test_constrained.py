@@ -4,7 +4,7 @@ against exhaustive enumeration on small random instances."""
 import random
 
 import pytest
-from helpers import assert_valid_tree, random_constraints, random_graph
+from helpers import assert_valid_tree, random_constraints, random_graph, reference_tree
 
 from mstplan import (
     FORBIDDEN_DISCONNECTS,
@@ -12,7 +12,6 @@ from mstplan import (
     Constraints,
     Infeasible,
     InvalidConstraintsError,
-    SpanningTree,
     UnknownEdgeError,
     build_graph,
     constrained_mst_kruskal,
@@ -121,15 +120,15 @@ def test_unstable_edges_count_at_current_value(triangle):
 
 
 def test_tree_total_weight_tracks_current_values(threshold8):
-    variable = SpanningTree.from_edge_ids(threshold8, {0, 1, 3, 4, 5})
-    stable = SpanningTree.from_edge_ids(threshold8, {0, 1, 2, 3, 4})
+    variable = reference_tree(threshold8, {0, 1, 3, 4, 5})
+    stable = reference_tree(threshold8, {0, 1, 2, 3, 4})
     set_unstable_weight(threshold8, 5, 7.0)
     assert tree_total_weight(variable, threshold8) == 39.0
     assert tree_total_weight(stable, threshold8) == 40.0
     set_unstable_weight(threshold8, 5, 8.0)
     assert tree_total_weight(variable, threshold8) == 40.0
     single = build_graph(2, [(0, 1, 5, "unstable")])
-    assert tree_total_weight(SpanningTree.from_edge_ids(single, {0}), single) == 5.0
+    assert tree_total_weight(reference_tree(single, {0}), single) == 5.0
 
 
 def test_deterministic_under_ties():

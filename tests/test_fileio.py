@@ -21,9 +21,11 @@ from helpers import (
     random_graph,
     random_pairs,
     reference_fingerprint,
+    reference_tree,
     tamper_one_weight,
 )
 
+import mstplan.constrained as constrained_module
 from mstplan import (
     DisconnectedGraphError,
     EdgeKind,
@@ -35,7 +37,6 @@ from mstplan import (
     PlanFormatError,
     PlanSet,
     SelfLoopError,
-    SpanningTree,
     VertexOutOfRangeError,
     format_events,
     format_graph,
@@ -618,19 +619,19 @@ def test_plan_load_folds_no_tree_over_its_edges(monkeypatch):
     ps = precompute_all(g)
     text = plans_to_json(ps, g)
     built = []
-    fold = SpanningTree.from_edge_ids.__func__
+    fold = constrained_module._whole_tree
 
-    def counted(cls, g, ids):
+    def counted(g, ids, weight):
         built.append(ids)
-        return fold(cls, g, ids)
+        return fold(g, ids, weight)
 
-    monkeypatch.setattr(SpanningTree, "from_edge_ids", classmethod(counted))
+    monkeypatch.setattr(constrained_module, "_whole_tree", counted)
     loaded = plans_from_json(text, g)
     assert built == []
     assert plan_sets_equal(loaded, ps)
     for plan in loaded.plans.values():
         for tree in (plan.mst_v, plan.mst_s):
-            assert tree == fold(SpanningTree, g, tree.edge_ids)
+            assert tree == reference_tree(g, tree.edge_ids)
 
 
 def test_plan_rejected_for_different_graph(tmp_path, threshold8):
@@ -758,7 +759,7 @@ def test_spurious_stable_tree_on_bridge_rejected(bridge4):
 def at_weights(plan, g):
     """``plan`` with its trees' totals restated at ``g``'s weights."""
     mst_s, mst_v = (
-        None if t is None else SpanningTree.from_edge_ids(g, t.edge_ids)
+        None if t is None else reference_tree(g, t.edge_ids)
         for t in (plan.mst_s, plan.mst_v)
     )
     d_s = math.inf if mst_s is None else tree_total_weight(mst_s, g)
@@ -817,8 +818,8 @@ def test_spanning_tree_that_is_not_minimum_is_refused(threshold8):
     # Another spanning tree, a swap that crosses its cut and the totals of
     # both trees: consistent, but the tree with edge 5 is 1 heavier than
     # the minimum's 32 + x.
-    tree = SpanningTree.from_edge_ids(threshold8, [0, 1, 2, 3, 4])
-    with_edge = SpanningTree.from_edge_ids(threshold8, [0, 2, 3, 4, 5])
+    tree = reference_tree(threshold8, [0, 1, 2, 3, 4])
+    with_edge = reference_tree(threshold8, [0, 2, 3, 4, 5])
     d_s = tree_total_weight(tree, threshold8)
     s_v = float(_exact_total(threshold8, with_edge, 5))
 
@@ -922,7 +923,7 @@ def test_writer_refuses_what_is_not_one_tree_plus_swaps(tmp_path, multi3):
             write_plans(PlanSet(plans=plans, snapshot=snapshot), multi3, path)
         assert not path.exists()
 
-    path_tree = SpanningTree.from_edge_ids(multi3, [0, 1, 2, 3])
+    path_tree = reference_tree(multi3, [0, 1, 2, 3])
     # Plan 6 holds neither the minimum tree nor a swap of it.
     elsewhere = dataclasses.replace(ps.plans[6], mst_v=path_tree, mst_s=path_tree)
     refused({**ps.plans, 6: elsewhere}, "^edge 6: plan is not the graph's minimum spanning tree")

@@ -8,7 +8,7 @@ import random
 import tracemalloc
 
 import pytest
-from helpers import M3_TEXT, edges
+from helpers import M3_TEXT, PARALLEL_TEXT, edges, reference_tree
 
 import mstplan.graph as graph_module
 from mstplan import (
@@ -22,7 +22,6 @@ from mstplan import (
     NonFiniteWeightError,
     NotUnstableError,
     SelfLoopError,
-    SpanningTree,
     UnknownEdgeError,
     VertexOutOfRangeError,
     WeaklyDynamicGraph,
@@ -163,10 +162,17 @@ def test_unknown_edge_lookup(triangle):
             triangle.weight(bad)
         with pytest.raises(UnknownEdgeError):
             is_connected(triangle, {bad})
-    # A tree's ids are checked too, a non-int one between the extremes included.
-    for ids in ({0, 3}, {-1, 1}, {0, 1.5, 2}, {0, 1.0, 2}, {0, "1", 2}):
-        with pytest.raises(UnknownEdgeError):
-            SpanningTree.from_edge_ids(triangle, ids)
+
+
+def test_reference_trees_are_spanning_trees_only(triangle):
+    # The tests' reference builder takes n - 1 distinct int ids of edges
+    # that close no cycle, whatever their order, and nothing else.
+    assert reference_tree(triangle, [2, 0]) == constrained_mst_prim(triangle, 2)
+    parallel = parse_graph(PARALLEL_TEXT)  # edges 0 and 1 join vertices 0 and 1
+    bad = ([0], [0, 1, 2], [0, 0], [0, 3], [-1, 1], [0, 1.0], [0, "1"], [1, True], [True, 1])
+    for g, ids in [(triangle, ids) for ids in bad] + [(parallel, [0, 1])]:
+        with pytest.raises(ValueError):
+            reference_tree(g, ids)
 
 
 def test_a_bool_is_no_edge_id_endpoint_or_vertex_count():
@@ -183,15 +189,11 @@ def test_a_bool_is_no_edge_id_endpoint_or_vertex_count():
         lambda eid: apply_change(ps, g, eid, 9.0),
         lambda eid: constrained_mst_prim(g, eid),
         lambda eid: constrained_mst_kruskal(g, Constraints(mandatory={eid})),
-        lambda eid: SpanningTree.from_edge_ids(g, [eid, 0, 2]),  # the extremes are ints
-        lambda eid: SpanningTree.from_edge_ids(g, [eid]),
     )
     for bad in (True, False, 1.0):
         for call in calls:
             with pytest.raises(UnknownEdgeError):
                 call(bad)
-    with pytest.raises(UnknownEdgeError):
-        SpanningTree.from_edge_ids(g, [False, True])
     assert unstable_values(g) == {0: 1.0, 1: 2.0}
     assert plans_to_json(ps, g) == text
     for u, v in ((False, True), (0, True), (False, 1), (0.0, 1)):

@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from helpers import random_graph
+from helpers import random_graph, reference_tree
 
 from mstplan import (
     FORBIDDEN_DISCONNECTS,
@@ -15,7 +15,6 @@ from mstplan import (
     Error,
     Infeasible,
     NotUnstableError,
-    SpanningTree,
     TooLargeError,
     brute_constrained_min,
     brute_critical_value,
@@ -26,6 +25,7 @@ from mstplan import (
     max_weight_on_tree_path,
     set_unstable_weight,
 )
+from mstplan.constrained import _whole_tree
 
 
 def test_triangle_has_three_trees(triangle):
@@ -136,36 +136,36 @@ def test_critical_value_grid_property():
 
 def test_max_weight_on_tree_path():
     path = build_graph(3, [(0, 1, 4, "stable"), (1, 2, 9, "stable")])
-    t = SpanningTree.from_edge_ids(path, {0, 1})
+    t = reference_tree(path, {0, 1})
     assert max_weight_on_tree_path(t, path, 0, 2) == 9.0
     assert max_weight_on_tree_path(t, path, 0, 1) == 4.0
 
     star = build_graph(4, [(0, 1, 1, "stable"), (0, 2, 2, "stable"), (0, 3, 3, "stable")])
-    t = SpanningTree.from_edge_ids(star, {0, 1, 2})
+    t = reference_tree(star, {0, 1, 2})
     assert max_weight_on_tree_path(t, star, 1, 3) == 3.0
 
 
 def test_max_weight_skips_unstable_members(triangle):
     # tree {1, 2}: the 0-1 path crosses the unstable edge and one stable edge
-    t = SpanningTree.from_edge_ids(triangle, {1, 2})
+    t = reference_tree(triangle, {1, 2})
     assert max_weight_on_tree_path(t, triangle, 0, 1) == 2.0
 
 
 def test_max_weight_on_avoiding_tree_equals_threshold(triangle):
-    t = SpanningTree.from_edge_ids(triangle, {0, 1})
+    t = reference_tree(triangle, {0, 1})
     e = triangle.edge(2)
     assert max_weight_on_tree_path(t, triangle, e.u, e.v) == 2.0
 
 
 def test_max_weight_error_cases(triangle):
-    t = SpanningTree.from_edge_ids(triangle, {0, 1})
+    t = reference_tree(triangle, {0, 1})
     with pytest.raises(Error):
         max_weight_on_tree_path(t, triangle, 1, 1)
-    partial = SpanningTree.from_edge_ids(triangle, {0})
+    partial = _whole_tree(triangle, frozenset({0}), triangle._weight)  # not a spanning tree
     with pytest.raises(Error):
         max_weight_on_tree_path(partial, triangle, 0, 2)
     single = build_graph(2, [(0, 1, 5, "unstable")])
-    only = SpanningTree.from_edge_ids(single, {0})
+    only = reference_tree(single, {0})
     with pytest.raises(Error):
         max_weight_on_tree_path(only, single, 0, 1)
 

@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import sys
+import threading
 import weakref
 from collections.abc import Mapping
 from fractions import Fraction
@@ -20,8 +21,10 @@ from helpers import (
     random_graph,
     random_pairs,
     reference_plans,
+    reference_tree,
 )
 
+import mstplan.constrained as constrained_module
 import mstplan.plans as plans_module
 from mstplan import (
     Constraints,
@@ -733,7 +736,7 @@ def test_totals_are_correctly_rounded_sums_of_the_tree_weights():
     # tie-heavy integers, with parallel edges and a bridge, along
     # apply_change chains. Each d_s and s_v is fsum of its tree's weights at
     # the plan's vector, bit for bit: as built, after a plan-file round trip,
-    # and from SpanningTree.from_edge_ids on the same ids; on small graphs
+    # and as a tree built whole from the same ids; on small graphs
     # each cv is the oracle's too.
     rng = random.Random(1997)
     draws = (lambda: rng.uniform(-5.0, 5.0), lambda: float(rng.randint(1, 3)))
@@ -768,7 +771,7 @@ def test_totals_are_correctly_rounded_sums_of_the_tree_weights():
                             assert total == math.inf
                             continue
                         assert total == _fsum_at(tree, g, values, exclude)
-                        again = SpanningTree.from_edge_ids(g, tree.edge_ids)
+                        again = reference_tree(g, tree.edge_ids)
                         assert again == tree  # ids, stable_sum, unstable_members
                         assert float(_exact_total(g, again, exclude)) == total
                         unfolded += total != _fold_at(tree, g, values, exclude)
@@ -788,10 +791,10 @@ def test_rebuilds_build_no_tree_from_all_its_edge_ids(monkeypatch):
     g = random_graph(rng, 60, 180, unstable=unstable, weights=weights)
     ps = precompute_all(g)
 
-    def boom(cls, g, ids):
-        raise AssertionError("a rebuild built a tree by SpanningTree.from_edge_ids")
+    def boom(g, ids, weight):
+        raise AssertionError("a rebuild built a tree from all its edge ids")
 
-    monkeypatch.setattr(SpanningTree, "from_edge_ids", classmethod(boom))
+    monkeypatch.setattr(constrained_module, "_whole_tree", boom)
     trees = set()
     for _ in range(40):
         eid = rng.choice(unstable)
@@ -874,7 +877,7 @@ def test_kernel_trees_equal_the_same_trees_built_any_other_way():
                         assert isinstance(found, Infeasible)
                         continue
                     kernel_trees.append(tree)
-                    for other in (SpanningTree.from_edge_ids(g, tree.edge_ids), found):
+                    for other in (reference_tree(g, tree.edge_ids), found):
                         assert tree == other and other == tree
                         assert hash(tree) == hash(other)
                         assert tree.stable_sum == other.stable_sum
@@ -896,7 +899,7 @@ def test_kernel_trees_equal_the_same_trees_built_any_other_way():
     tree = precompute_all(g).plans[5].mst_v
     assert tree.edge_ids == {0, 1, 5} and tree._base is g.kernel().forced == {0}
     other = dataclasses.replace(tree, _part=frozenset({2, 5}))
-    assert other == SpanningTree.from_edge_ids(g, {0, 2, 5}) and other != tree
+    assert other == reference_tree(g, {0, 2, 5}) and other != tree
     assert (other.stable_sum, other.unstable_members) == (tree.stable_sum, tree.unstable_members)
 
 
@@ -1225,3 +1228,68 @@ def test_pickled_and_deep_copied_plan_sets_answer_as_the_original(changes):
         assert [answer(g2, ps2, eid, x) for eid, x in probes] == answers
     # A tree with no field set and no swap has no attribute, as any object.
     assert getattr(object.__new__(SpanningTree), "x", None) is None
+
+
+def unfilled(ps) -> list:
+    """The other trees of ``ps`` that nothing has filled yet, in plan order."""
+    trees = (t for p in ps.plans.values() for t in (p.mst_s, p.mst_v))
+    return [t for t in trees if t is not None and t._swap is not None]
+
+
+def test_pickles_and_deep_copies_of_unfilled_trees_fill_neither_tree():
+    # A copy writes an unfilled other tree as its swap: the original keeps
+    # it unfilled, and the copy holds it unfilled over the copied graph and
+    # shared tree, until a read fills it to the original's tree.
+    rng = random.Random(128)
+    unstable = rng.sample(range(199, 199 + 600), 32)
+    g = random_graph(rng, 200, 600, unstable=unstable)
+    ps = precompute_all(g)
+    lazy = unfilled(ps)
+    assert len(lazy) == 32
+    # deepcopy first asks the tree for __deepcopy__; the probe fills nothing.
+    assert getattr(lazy[0], "__deepcopy__", None) is None and lazy[0]._swap is not None
+    assert copy.copy(lazy[0])._swap == lazy[0]._swap
+    copies = [pickle.loads(pickle.dumps((g, ps))), copy.deepcopy((g, ps))]
+    assert unfilled(ps) == lazy and all(t._swap is not None for t in lazy)
+    for g2, ps2 in copies:
+        copied = unfilled(ps2)
+        (shared,) = _shared_trees(ps2)
+        assert len(copied) == 32
+        assert all(t._swap[0] is g2 and t._swap[1] is shared for t in copied)
+        assert copied == lazy  # fills both
+        assert plans_to_json(ps2, g2) == plans_to_json(ps, g)
+
+
+def test_threads_reading_unfilled_trees_at_once_see_them_whole():
+    # Two threads compare and read the same unfilled other trees, each
+    # filling them whenever the other has not yet. The fill clears _swap
+    # last, so a reader finds each tree unfilled or whole, never between.
+    rng = random.Random(1500)
+    n, extra = 1500, 4500
+    weights = [rng.randint(1, 100_000) for _ in range(n - 1 + extra)]
+    unstable = rng.sample(range(n - 1, n - 1 + extra), 512)
+    g = random_graph(rng, n, extra, unstable=unstable, weights=weights)
+    errors = []
+
+    def read(trees, twins):
+        for tree, twin in zip(trees, twins):
+            try:
+                assert tree == twin
+                assert tree.stable_sum == twin.stable_sum and tree.edge_ids == twin.edge_ids
+            except Exception as error:
+                errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            trees, twins = unfilled(precompute_all(g)), unfilled(precompute_all(g))
+            threads = [threading.Thread(target=read, args=(trees, twins)) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, f"{len(errors)} failed reads, the first {errors[0]!r}"
