@@ -19,8 +19,9 @@ the graph and, like a tree's reads, safe to run at once on a shared snapshot.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Set
 from dataclasses import dataclass, field
-from itertools import filterfalse
+from itertools import chain, filterfalse
 from typing import Sequence, Union
 
 from .errors import InvalidConstraintsError
@@ -54,10 +55,13 @@ class SpanningTree:
 
     The ids are a shared ``_base`` plus a ``_part`` disjoint from it: for a
     tree of a graph's kernel, the kernel's forced edges plus at most k
-    kernel edges; for any other tree, all its ids and no part. ``edge_ids``,
-    their union, is built on first read and kept. Trees compare by ids,
-    ``stable_sum`` and ``unstable_members`` and hash by ids, however they
-    were built; two trees of one base compare only their parts.
+    kernel edges; for any other tree, all its ids and no part. ``edge_ids``
+    is their union as a read-only ``collections.abc.Set[int]``: the base
+    itself when there is no part, else a view of the two that copies
+    neither; ``frozenset(tree.edge_ids)`` gives frozenset methods such as
+    ``union``. Trees compare by ids, ``stable_sum`` and ``unstable_members``
+    and hash by ids, however they were built; two trees of one base compare
+    only their parts.
 
     ``stable_sum`` is the correctly rounded sum of the stable member
     weights (``math.fsum``), so it does not depend on the order they are
@@ -77,7 +81,6 @@ class SpanningTree:
     # Floats whose exact sum is the exact sum of the stable member weights.
     _expansion: tuple[float, ...] = field(repr=False)
     stable_sum: float
-    _ids: frozenset[int] | None = field(init=False, default=None, repr=False)
     # (graph, tree, out, into) until a plan's other tree is filled. It is the last
     # field, so a fill's one __init__ sets it None last: then every field is set.
     _swap: tuple | None = field(init=False, default=None, repr=False)
@@ -95,11 +98,9 @@ class SpanningTree:
         return (_swapped, swap) if (swap := self._swap) else object.__reduce_ex__(self, protocol)
 
     @property
-    def edge_ids(self) -> frozenset[int]:
-        if (ids := self._ids) is None:  # one read: a concurrent fill resets it to None
-            ids = self._base | self._part if self._part else self._base
-            object.__setattr__(self, "_ids", ids)
-        return ids
+    def edge_ids(self) -> Set[int]:
+        part = self._part  # read first: a fill sets _base before it
+        return _EdgeIds(self._base, part) if part else self._base
 
     def __eq__(self, other):
         if not isinstance(other, SpanningTree):
@@ -113,7 +114,7 @@ class SpanningTree:
         if self._base is other._base:  # O(k): the trees differ in their parts only
             same_ids = self._part == other._part
         else:
-            same_ids = self.edge_ids == (other._base | other._part)
+            same_ids = self.edge_ids == other.edge_ids
         return (
             self.stable_sum == other.stable_sum
             and self.unstable_members == other.unstable_members
@@ -122,6 +123,46 @@ class SpanningTree:
 
     def __hash__(self):
         return hash(self.edge_ids)
+
+
+class _EdgeIds(Set):
+    """The ids of two disjoint frozensets, ``base`` and ``part``, read in place.
+
+    It equals and hashes as the frozenset of the same ids. An operator's
+    result, a pickle and a copy are frozensets.
+    """
+
+    __slots__ = ("_base", "_part")
+
+    def __init__(self, base: frozenset[int], part: frozenset[int]):
+        self._base, self._part = base, part
+
+    def __contains__(self, eid) -> bool:
+        return eid in self._part or eid in self._base
+
+    def __iter__(self):
+        return chain(self._base, self._part)
+
+    def __len__(self) -> int:
+        return len(self._base) + len(self._part)
+
+    @classmethod
+    def _from_iterable(cls, ids) -> frozenset[int]:
+        return frozenset(ids)
+
+    def __eq__(self, other):
+        if type(other) is _EdgeIds and other._base is self._base:  # O(k): compare the parts
+            return self._part == other._part
+        return Set.__eq__(self, other)
+
+    def __hash__(self):
+        return hash(frozenset(self))
+
+    def __reduce__(self):
+        return frozenset, (tuple(self),)
+
+    def __repr__(self):
+        return f"_EdgeIds({sorted(self)})"
 
 
 def _kernel_fields(g: WeaklyDynamicGraph, part: frozenset[int]) -> tuple:

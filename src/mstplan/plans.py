@@ -94,7 +94,9 @@ class EdgePlan:
     def __post_init__(self):
         if self.mst_s is None and self.cv != math.inf:
             raise Error(f"edge {self.edge_id}: a plan without a stable tree needs cv = inf")
-        stable = None if self.mst_s is None else Selection(_STABLE, self.d_s, self.mst_s)
+        stable = None
+        if self.mst_s is not None:  # as select_tree builds its answers
+            stable = _new_tuple(Selection, (_STABLE, self.d_s, self.mst_s))
         object.__setattr__(self, "_stable", stable)
 
 

@@ -3,10 +3,12 @@
 import copy
 import dataclasses
 import math
+import operator
 import pickle
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 from collections.abc import Mapping
 from fractions import Fraction
@@ -839,6 +841,100 @@ def test_changes_answers_and_plan_files_build_no_full_edge_id_set(monkeypatch):
     monkeypatch.undo()
     fresh = parse_graph(format_graph(g))
     assert text == plans_to_json(precompute_all(fresh), fresh)
+
+
+def test_edge_ids_behave_as_the_frozenset_of_the_same_ids():
+    # A tree's edge_ids, a view of its base and part, against the frozenset
+    # of its ids on every operation of the set contract, with frozensets and
+    # other trees' ids on either side; fresh sets and along a change chain.
+    # Ties among non-integer weights, parallel edges and a bridge.
+    rng = random.Random(3333)
+    pool = (0.1, 0.2, 0.3, 0.7, 2.5)
+
+    def draw():
+        return rng.choice(pool) if rng.random() < 0.6 else rng.uniform(-1.0, 3.0)
+
+    views = compared = 0
+    for _ in range(15):
+        n = rng.randint(2, 9)
+        pairs = random_pairs(rng, n, rng.randint(0, 2 * n))
+        pairs += rng.choices(pairs, k=rng.randint(1, 3))  # parallel edges
+        pairs.append((rng.randrange(n), n))  # a bridge to one more vertex
+        unstable = rng.sample(range(len(pairs)), rng.randint(1, min(5, len(pairs))))
+        g = build_graph(n + 1, [
+            (u, v, draw(), "unstable" if i in unstable else "stable")
+            for i, (u, v) in enumerate(pairs)
+        ])
+        ps = precompute_all(g)
+        for step in range(21):  # the fresh set, then 20 changes
+            if step:
+                _, ps = apply_change(ps, g, rng.choice(unstable), draw())
+            ids = [
+                t.edge_ids for p in ps.plans.values() for t in (p.mst_s, p.mst_v) if t is not None
+            ]
+            ids.append(constrained_mst_kruskal(g).edge_ids)
+            views += sum(type(a) is not frozenset for a in ids)
+            plain = [frozenset(sorted(a)) for a in ids]
+            everything = frozenset(range(g.num_edges))
+            for a, fa in zip(ids, plain):
+                assert sorted(a) == sorted(fa)  # each id once
+                assert len(a) == len(fa) == n and hash(a) == hash(fa)
+                for eid in (-1, *range(g.num_edges + 1)):
+                    assert (eid in a) is (eid in fa)
+            probes = [frozenset(), everything, frozenset(rng.sample(sorted(everything), n))]
+            for a, fa in zip(ids, plain):
+                j = rng.randrange(len(ids))
+                for b, fb in ((ids[j], plain[j]), *((p, p) for p in probes)):
+                    for x, y in ((a, b), (b, a), (a, fb), (fb, a), (fa, b), (b, fa)):
+                        fx, fy = frozenset(x), frozenset(y)
+                        assert (x == y) is (fx == fy) and (x != y) is (fx != fy)
+                        assert (x <= y) is (fx <= fy) and (x >= y) is (fx >= fy)
+                        assert (x < y) is (fx < fy) and (x > y) is (fx > fy)
+                        assert x.isdisjoint(y) is fx.isdisjoint(fy)
+                        for op in (operator.or_, operator.and_, operator.sub, operator.xor):
+                            got = op(x, y)
+                            assert type(got) is frozenset and got == op(fx, fy)
+                        compared += 1
+    assert views > 800 and compared > 20_000
+
+
+def test_edge_ids_pickle_and_copy_as_frozensets_and_show_their_ids_sorted():
+    g = build_graph(4, [
+        (0, 1, 1.0, "stable"), (1, 2, 1.0, "stable"), (2, 3, 1.0, "stable"),
+        (3, 0, 1.0, "stable"), (0, 2, 5.0, "unstable"), (1, 3, 0.5, "unstable"),
+    ])
+    ids = precompute_all(g).plans[5].mst_v.edge_ids
+    assert type(ids) is not frozenset
+    for twin in (pickle.loads(pickle.dumps(ids)), copy.copy(ids), copy.deepcopy(ids)):
+        assert type(twin) is frozenset and twin == ids == {0, 1, 5}
+    assert repr(ids).endswith("([0, 1, 5])")
+
+
+def test_kept_answer_edge_ids_copy_no_tree():
+    # Keeping each answer's edge_ids along a chain of changes that moves the
+    # minimum tree holds no copy of the tree's n - 1 ids, which would take
+    # some 64 KiB per distinct tree here.
+    g = generate_graph(1500, 4500, 6, 3)
+    rng = random.Random(33)
+    ps = precompute_all(g)
+    trees = []
+    for step in range(50):
+        eid = rng.choice(g.unstable_ids)
+        cv = ps.plans[eid].cv
+        x = cv - 1.0 if step % 2 or cv == math.inf else cv + 1.0
+        sel, ps = apply_change(ps, g, eid, x)
+        trees.append(sel.tree)
+    for tree in trees:
+        tree._part  # fills an unfilled tree before the count
+    tracemalloc.start()
+    try:
+        kept = [tree.edge_ids for tree in trees]
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len({frozenset(ids) for ids in kept}) >= 3  # the chain moved the tree
+    assert all(len(ids) == g.n - 1 for ids in kept)
+    assert grown < 1024 * len(kept)
 
 
 def test_kernel_trees_equal_the_same_trees_built_any_other_way():
