@@ -24,20 +24,24 @@ from dataclasses import dataclass, field
 from itertools import chain, filterfalse
 from typing import Sequence, Union
 
-from .errors import InvalidConstraintsError
-from .graph import WeaklyDynamicGraph, _exact_sum, _fsum, _kruskal
+from .errors import InvalidConstraintsError, UnknownEdgeError
+from .graph import Kernel, WeaklyDynamicGraph, _exact_sum, _fsum, _kruskal
 
 
 @dataclass(frozen=True)
 class Constraints:
-    """Disjoint mandatory and forbidden edge-id sets."""
+    """Disjoint mandatory and forbidden edge-id sets; a non-int id raises UnknownEdgeError."""
 
     mandatory: frozenset[int] = frozenset()
     forbidden: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "mandatory", frozenset(self.mandatory))
-        object.__setattr__(self, "forbidden", frozenset(self.forbidden))
+        for name in ("mandatory", "forbidden"):
+            ids = tuple(getattr(self, name))  # read once, so a generator works
+            for eid in ids:  # before a frozenset merges True or 1.0 into an equal int
+                if type(eid) is not int:
+                    raise UnknownEdgeError(f"no edge with id {eid!r}")
+            object.__setattr__(self, name, frozenset(ids))
 
     def validate(self, g: WeaklyDynamicGraph) -> None:
         for eid in self.mandatory | self.forbidden:
@@ -81,7 +85,7 @@ class SpanningTree:
     # Floats whose exact sum is the exact sum of the stable member weights.
     _expansion: tuple[float, ...] = field(repr=False)
     stable_sum: float
-    # (graph, tree, out, into) until a plan's other tree is filled. It is the last
+    # (kernel, tree, out, into) until a plan's other tree is filled. It is the last
     # field, so a fill's one __init__ sets it None last: then every field is set.
     _swap: tuple | None = field(init=False, default=None, repr=False)
 
@@ -90,8 +94,8 @@ class SpanningTree:
         swap = object.__getattribute__(self, "_swap")
         if swap is None or name[:2] == "__":  # a dunder probe, as deepcopy's, fills nothing
             return object.__getattribute__(self, name)
-        g, tree, out, into = swap
-        SpanningTree.__init__(self, *_kernel_fields(g, tree._part - {out} | {into}))
+        kernel, tree, out, into = swap
+        SpanningTree.__init__(self, *_kernel_fields(kernel, tree._part - {out} | {into}))
         return getattr(self, name)
 
     def __reduce_ex__(self, protocol):  # an unfilled tree is copied unfilled, as its swap
@@ -105,11 +109,10 @@ class SpanningTree:
     def __eq__(self, other):
         if not isinstance(other, SpanningTree):
             return NotImplemented
-        # A fill reads only the kernel (copies alone share one, and their
-        # stable weights), the swap and the filled source tree's part: O(k).
+        # A fill reads only the kernel, the swap and the filled source tree's part: O(k).
         if (mine := self._swap) is not None and (theirs := other._swap) is not None:  # read once
-            (g, tree, *swap), (h, other_tree, *other_swap) = mine, theirs
-            if swap == other_swap and g.kernel() is h.kernel() and tree._part == other_tree._part:
+            (kernel, tree, *swap), (other_kernel, other_tree, *other_swap) = mine, theirs
+            if swap == other_swap and kernel is other_kernel and tree._part == other_tree._part:
                 return True
         if self._base is other._base:  # O(k): the trees differ in their parts only
             same_ids = self._part == other._part
@@ -153,7 +156,11 @@ class _EdgeIds(Set):
     def __eq__(self, other):
         if type(other) is _EdgeIds and other._base is self._base:  # O(k): compare the parts
             return self._part == other._part
-        return Set.__eq__(self, other)
+        if not isinstance(other, Set):
+            return NotImplemented
+        if not isinstance(other, (set, frozenset)):  # once, so the tests below run in C
+            other = frozenset(other)
+        return len(self) == len(other) and self._base <= other and self._part <= other
 
     def __hash__(self):
         return hash(frozenset(self))
@@ -165,20 +172,19 @@ class _EdgeIds(Set):
         return f"_EdgeIds({sorted(self)})"
 
 
-def _kernel_fields(g: WeaklyDynamicGraph, part: frozenset[int]) -> tuple:
-    """The fields of the tree of the kernel's forced edges plus the kernel edges ``part``."""
-    kernel = g.kernel()
-    unstable = part.intersection(g.unstable_ids)
+def _kernel_fields(kernel: Kernel, part: frozenset[int]) -> tuple:
+    """The fields of the tree of ``kernel``'s forced edges plus the kernel edges ``part``."""
+    unstable = part.difference(kernel.stable)
     # The stable sum is the forced edges' exact sum plus the at most k
     # stable kernel weights: no pass over the tree's n - 1 edges.
-    stable = kernel._forced_expansion + tuple(g._weight[f] for f in part - unstable)
+    stable = kernel._forced_expansion + tuple(kernel.stable[f] for f in part - unstable)
     return kernel.forced, part, unstable, stable, _fsum(stable)
 
 
-def _swapped(g: WeaklyDynamicGraph, tree: SpanningTree, out: int, into: int) -> SpanningTree:
-    """``tree``, a tree of ``g``'s kernel, with the edge ``out`` traded for ``into``; unfilled."""
+def _swapped(kernel: Kernel, tree: SpanningTree, out: int, into: int) -> SpanningTree:
+    """``tree``, a tree of ``kernel``, with the edge ``out`` traded for ``into``; unfilled."""
     other = object.__new__(SpanningTree)
-    object.__setattr__(other, "_swap", (g, tree, out, into))
+    object.__setattr__(other, "_swap", (kernel, tree, out, into))
     return other
 
 
@@ -239,14 +245,12 @@ def constrained_mst_prim(
 
     Starts with both endpoints of ``seed_edge`` in the visited set and the
     seed edge in the tree, then repeatedly adds the cheapest non-forbidden
-    edge leaving the visited set.
+    edge leaving the visited set. The ids are checked as
+    ``Constraints((seed_edge,), forbidden)`` checks them.
     """
-    g._check_edge(seed_edge)
-    forbidden = frozenset(forbidden)
-    for eid in forbidden:
-        g._check_edge(eid)
-    if seed_edge in forbidden:
-        raise InvalidConstraintsError(f"seed edge {seed_edge} is forbidden")
+    constraints = Constraints((seed_edge,), forbidden)
+    constraints.validate(g)
+    forbidden = constraints.forbidden
 
     u, v, weight = g._u, g._v, g._weight
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]

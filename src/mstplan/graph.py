@@ -152,14 +152,14 @@ class Kernel:
     1994). ``forced`` holds the stable edges Kruskal takes when every
     unstable edge ranks first; contracting them leaves ``supers`` <= k + 1
     super-vertices. The kernel's edges are the unstable ones and ``stable``,
-    the at most k other stable edges Kruskal then takes, in ``(weight, id)``
-    order; ``_u`` and ``_v`` map each to the super-vertices it joins, as
-    two columns, the way ``_kruskal`` reads them.
+    the at most k other stable edges Kruskal then takes, each mapped to its
+    weight in ``(weight, id)`` order; ``_u`` and ``_v`` map each to the
+    super-vertices it joins, as two columns, the way ``_kruskal`` reads them.
     """
 
     forced: frozenset[int]
     supers: int
-    stable: tuple[int, ...]
+    stable: dict[int, float]
     _u: dict[int, int]
     _v: dict[int, int]
     # The exact sum of the ``forced`` weights, as ``_exact_sum`` gives it.
@@ -203,7 +203,8 @@ def _build_kernel(g: "WeaklyDynamicGraph") -> Kernel:
     ends_u = {eid: super_of(u[eid]) for eid in edges}
     ends_v = {eid: super_of(v[eid]) for eid in edges}
     forced_sum = _exact_sum([weight[eid] for eid in forced])
-    return Kernel(forced, supers, tuple(kernel_stable), ends_u, ends_v, forced_sum)
+    stable_weights = {eid: weight[eid] for eid in kernel_stable}
+    return Kernel(forced, supers, stable_weights, ends_u, ends_v, forced_sum)
 
 
 class WeaklyDynamicGraph:

@@ -13,14 +13,14 @@ by a single comparison with no graph work at all.
 Both trees come from the graph's kernel (:class:`~mstplan.graph.Kernel`):
 at any values, a minimum spanning tree under the ``(weight, id)`` order is
 the kernel's fixed stable edges plus a tree of at most 2k kernel edges
-between at most k + 1 super-vertices. A build reads the unstable values
-from a vector it is given, never from the graph, which it neither changes
-nor copies. Every plan it builds holds one tree object, the minimum
-spanning tree at the vector, and its ``swap``, the edge its other tree
-trades (Tarjan, "Sensitivity analysis of minimum spanning trees and
-shortest path trees", IPL 1982); one pass over the kernel tree finds every
-swap. The other tree, a ``SpanningTree`` too, is made in O(1) from that tree
-and its swap, and each total is one ``fsum``.
+between at most k + 1 super-vertices. A build reads only the kernel and a
+vector of unstable values, never the graph, so a plan set holds no graph.
+Every plan it builds holds one tree object, the minimum spanning tree at
+the vector, and its ``swap``, the edge its other tree trades (Tarjan,
+"Sensitivity analysis of minimum spanning trees and shortest path trees",
+IPL 1982); one pass over the kernel tree finds every swap. The other tree,
+a ``SpanningTree`` too, is made in O(1) from that tree and its swap, and
+each total is one ``fsum``.
 
 With several unstable edges, one plan is kept per edge, each computed with
 the *other* unstable edges frozen at the set's snapshot, stored once. Under
@@ -130,7 +130,7 @@ _new_tuple = tuple.__new__
 
 
 def _build_plans(
-    g: WeaklyDynamicGraph,
+    kernel: Kernel,
     values: Mapping[int, float],
     tree: SpanningTree | None,
     edge_ids: Sequence[int],
@@ -138,20 +138,18 @@ def _build_plans(
     """Plans for ``edge_ids`` at ``values``, a float per unstable id in ascending order.
 
     ``tree`` is the ``(weight, id)`` minimum spanning tree at ``values``, a
-    tree of this graph's kernel, or None to find it with one Kruskal. Every
-    plan holds it. One pass finds each plan's swap (Tarjan, IPL 1982): each
+    tree of ``kernel``, or None to find it with one Kruskal. Every plan
+    holds it. One pass finds each plan's swap (Tarjan, IPL 1982): each
     kernel edge outside the tree, in ``(weight, id)`` order, walks the tree
     path between its ends. It is the swap of each edge on the path that no
-    lighter edge walked, and the path's heaviest edge is its own swap.
-    ``g``'s own unstable weights are neither read nor changed.
+    lighter edge walked, and the path's heaviest edge is its own swap. The
+    weights are ``kernel``'s stable ones and ``values``; no graph is read.
     """
-    kernel = g.kernel()
     ends_u, ends_v = kernel._u, kernel._v
-    weight = {f: g._weight[f] for f in kernel.stable}
-    weight.update(values)
+    weight = {**kernel.stable, **values}
     order = [f for _, f in sorted([(w, f) for f, w in weight.items()])]
     if tree is None:
-        tree = SpanningTree(*_kernel_fields(g, frozenset(kernel.spanning(order))))
+        tree = SpanningTree(*_kernel_fields(kernel, frozenset(kernel.spanning(order))))
     part = tree._part  # fills a swapped tree, which then refers to no other plan set's tree
 
     # Root the kernel tree at super-vertex 0: each other super-vertex's
@@ -195,13 +193,14 @@ def _build_plans(
         f = swap.get(eid)
         cv = math.inf if f is None else weight[f]
         if eid not in part:
-            mst_s, d_s, mst_v, s_v = tree, total, _swapped(g, tree, f, eid), _fsum((*exact, -cv))
+            mst_s, d_s, s_v = tree, total, _fsum((*exact, -cv))
+            mst_v = _swapped(kernel, tree, f, eid)
         elif f is None:  # a bridge
             mst_s, d_s, mst_v, s_v = None, math.inf, tree, _fsum((*exact, -values[eid]))
         else:
             x = values[eid]
             s_v = _fsum((*exact, -x))
-            mst_s, d_s, mst_v = _swapped(g, tree, eid, f), _fsum((*exact, -x, cv)), tree
+            mst_s, d_s, mst_v = _swapped(kernel, tree, eid, f), _fsum((*exact, -x, cv)), tree
         plans[eid] = EdgePlan(eid, mst_s, d_s, mst_v, s_v, cv, f)
     return plans
 
@@ -227,7 +226,7 @@ def precompute_plan(
     values = {eid: g._weight[eid] for eid in g.unstable_ids}
     for eid, value in frozen.items():
         values[eid] = _finite(value, "frozen value for edge {}", eid)
-    return _build_plans(g, values, None, [edge_id])[edge_id]
+    return _build_plans(g.kernel(), values, None, [edge_id])[edge_id]
 
 
 def select_tree(plan: EdgePlan, x: float) -> Selection:
@@ -263,8 +262,8 @@ def select_tree(plan: EdgePlan, x: float) -> Selection:
 
 def precompute_all(g: WeaklyDynamicGraph) -> PlanSet:
     """One plan per unstable edge: the kernel's minimum tree and one swap of it per edge."""
-    values = unstable_values(g)
-    return PlanSet(_build_plans(g, values, None, g.unstable_ids), values, g.kernel())
+    values, kernel = unstable_values(g), g.kernel()
+    return PlanSet(_build_plans(kernel, values, None, g.unstable_ids), values, kernel)
 
 
 def apply_change(
@@ -296,7 +295,7 @@ def apply_change(
             "plan set was built at other unstable values than the graph holds; "
             "rebuild it with precompute_all"
         )
-    if ps._kernel is not g.kernel():
+    if (kernel := ps._kernel) is not g.kernel():
         raise StalePlanSetError(
             "plan set was not built on this graph or a copy of it; "
             "rebuild it with precompute_all"
@@ -307,9 +306,9 @@ def apply_change(
     plans = dict(ps.plans)
     if new_x != current[edge_id] and len(plans) > 1:
         tree = _minimum_tree(plan, new_x, g._weight)
-        plans.update(_build_plans(g, values, tree, [e for e in g.unstable_ids if e != edge_id]))
+        plans.update(_build_plans(kernel, values, tree, [e for e in values if e != edge_id]))
     g._weight[edge_id] = new_x
-    return immediate, PlanSet(plans, values, g.kernel())
+    return immediate, PlanSet(plans, values, kernel)
 
 
 def _minimum_tree(plan: EdgePlan, x: float, weight: Sequence[float]) -> SpanningTree:

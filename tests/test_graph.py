@@ -203,6 +203,20 @@ def test_a_bool_is_no_edge_id_endpoint_or_vertex_count():
         with pytest.raises(Error) as info:
             build_graph(n, [])
         assert type(info.value) is Error and "vertex count" in str(info.value)
+    # A bool or float beside the equal int is refused too, in either order:
+    # a set of the ids would merge the two and keep whichever came first.
+    g = parse_graph("p wdg 4 5\ne 0 1 1\ne 1 2 2\nu 2 3 5\ne 0 3 7\nu 0 2 4\n")
+    calls = (
+        lambda ids: constrained_mst_kruskal(g, Constraints(mandatory=ids)),
+        lambda ids: constrained_mst_kruskal(g, Constraints(forbidden=ids)),
+        lambda ids: constrained_mst_kruskal(g, Constraints(mandatory=iter(ids))),
+        lambda ids: constrained_mst_prim(g, 0, ids),
+    )
+    for ids in ([1, True], [True, 1], [0, False], [False, 0], [1, 1.0], [1.0, 1]):
+        for call in calls:
+            with pytest.raises(UnknownEdgeError):
+                call(ids)
+    assert Constraints(mandatory=iter([1, 0])).mandatory == {0, 1}
 
 
 def test_is_connected_with_exclusions(triangle):

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import io
 import math
 import operator
 import pickle
@@ -595,9 +596,9 @@ def test_apply_change_builds_first_and_sets_the_value_last(multi3, monkeypatch):
     build = plans_module._build_plans
     seen = []
 
-    def spy(g, values, *args):
-        seen.append((g.weight(4), values[4]))
-        return build(g, values, *args)
+    def spy(kernel, values, *args):
+        seen.append((multi3.weight(4), values[4]))
+        return build(kernel, values, *args)
 
     monkeypatch.setattr("mstplan.plans._build_plans", spy)
     _, rebuilt = apply_change(ps, multi3, 4, 0.5)
@@ -623,7 +624,7 @@ def test_rebuild_runs_no_constrained_search(monkeypatch, tmp_path):
     assert ps._kernel is kernel
     assert kernel.forced == {2}  # stable weights 3, 4, 5, 6; only 2 is forced
     assert kernel.supers == 4
-    assert kernel.stable == (0, 3, 1)
+    assert list(kernel.stable) == [0, 3, 1]
     assert g.copy()._kernel is kernel
     _, ps = apply_change(ps, g, 4, 9.0)
     _, ps = apply_change(ps, g, 6, 0.5)
@@ -1334,7 +1335,7 @@ def unfilled(ps) -> list:
 
 def test_pickles_and_deep_copies_of_unfilled_trees_fill_neither_tree():
     # A copy writes an unfilled other tree as its swap: the original keeps
-    # it unfilled, and the copy holds it unfilled over the copied graph and
+    # it unfilled, and the copy holds it unfilled over the copied kernel and
     # shared tree, until a read fills it to the original's tree.
     rng = random.Random(128)
     unstable = rng.sample(range(199, 199 + 600), 32)
@@ -1351,9 +1352,51 @@ def test_pickles_and_deep_copies_of_unfilled_trees_fill_neither_tree():
         copied = unfilled(ps2)
         (shared,) = _shared_trees(ps2)
         assert len(copied) == 32
-        assert all(t._swap[0] is g2 and t._swap[1] is shared for t in copied)
+        assert all(t._swap[0] is g2.kernel() and t._swap[1] is shared for t in copied)
         assert copied == lazy  # fills both
         assert plans_to_json(ps2, g2) == plans_to_json(ps, g)
+
+
+class GraphTrap(pickle.Pickler):
+    """A pickler that refuses to write any graph."""
+
+    def persistent_id(self, obj):
+        if isinstance(obj, WeaklyDynamicGraph):
+            raise AssertionError("a graph is reachable from what is pickled")
+        return None
+
+
+@pytest.mark.parametrize("changes", [0, 20])
+def test_a_plan_set_pickles_without_its_graph(changes):
+    # Nothing built from a graph refers to it: a plan set, fresh or after a
+    # change chain with some changes to the threshold, pickles alone, and
+    # its copy answers and writes as the original. Its kernel is a copy, so
+    # apply_change refuses it on the original graph.
+    rng = random.Random(3434)
+    unstable = rng.sample(range(39 + 120), 6)
+    g = random_graph(rng, 40, 120, unstable=unstable)
+    ps = precompute_all(g)
+    ties = 0
+    for step in range(changes):
+        eid = rng.choice(unstable)
+        cv = ps.plans[eid].cv
+        x = cv if cv < math.inf and step % 3 == 0 else float(rng.randint(1, 20))
+        ties += x == cv
+        _, ps = apply_change(ps, g, eid, x)
+    assert ties > 0 or not changes
+    buffer = io.BytesIO()
+    GraphTrap(buffer).dump(ps)
+    copied = pickle.loads(buffer.getvalue())
+    assert copied._kernel is not g.kernel()
+    for eid, plan in ps.plans.items():
+        for x in (plan.cv, plan.cv - 1, plan.cv + 1, 0.5, 30.0):
+            if x < math.inf:
+                assert select_tree(copied.plans[eid], x) == select_tree(plan, x)
+    assert plans_to_json(copied, g) == plans_to_json(ps, g)
+    values = unstable_values(g)
+    with pytest.raises(StalePlanSetError):
+        apply_change(copied, g, unstable[0], 1.5)
+    assert unstable_values(g) == values
 
 
 def test_threads_reading_unfilled_trees_at_once_see_them_whole():
