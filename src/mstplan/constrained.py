@@ -25,7 +25,7 @@ from itertools import chain, filterfalse
 from typing import Sequence, Union
 
 from .errors import InvalidConstraintsError, UnknownEdgeError
-from .graph import Kernel, WeaklyDynamicGraph, _exact_sum, _fsum, _kruskal
+from .graph import Kernel, WeaklyDynamicGraph, _exact_sum, _FrozenIds, _fsum, _kruskal
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,16 @@ class SpanningTree:
     """An edge-id set forming a spanning tree, with its stable weight cached.
 
     The ids are a shared ``_base`` plus a ``_part`` disjoint from it: for a
-    tree of a graph's kernel, the kernel's forced edges plus at most k
-    kernel edges; for any other tree, all its ids and no part. ``edge_ids``
-    is their union as a read-only ``collections.abc.Set[int]``: the base
-    itself when there is no part, else a view of the two that copies
-    neither; ``frozenset(tree.edge_ids)`` gives frozenset methods such as
-    ``union``. Trees compare by ids, ``stable_sum`` and ``unstable_members``
-    and hash by ids, however they were built; two trees of one base compare
-    only their parts.
+    tree of a graph's kernel, the kernel's forced edges (one sorted id
+    array) plus at most k kernel edges; for any other tree, all its ids as
+    a frozenset and no part. ``edge_ids`` is their union as a read-only
+    ``collections.abc.Set[int]``: the base itself when there is no part,
+    else a view of the two that copies neither; ``frozenset(tree.edge_ids)``
+    gives frozenset methods such as ``union``. Trees compare by ids,
+    ``stable_sum`` and ``unstable_members``, however they were built; two
+    trees of one base compare only their parts. A tree hashes its id count,
+    ``stable_sum`` and ``unstable_members``, in O(k). Its repr names the
+    forced edges by their count.
 
     ``stable_sum`` is the correctly rounded sum of the stable member
     weights (``math.fsum``), so it does not depend on the order they are
@@ -77,17 +79,18 @@ class SpanningTree:
     :func:`_swapped`, copied unfilled, and filled by one ``__init__`` on the
     first read of any field, which threads may make at once. Two unfilled
     trees that trade the same edges of equal trees of one kernel are equal.
+    An unfilled tree's repr shows the tree and the edges it was made from.
     """
 
-    _base: frozenset[int]
+    _base: Set[int]
     _part: frozenset[int]
     unstable_members: frozenset[int]
     # Floats whose exact sum is the exact sum of the stable member weights.
-    _expansion: tuple[float, ...] = field(repr=False)
+    _expansion: tuple[float, ...]
     stable_sum: float
     # (kernel, tree, out, into) until a plan's other tree is filled. It is the last
     # field, so a fill's one __init__ sets it None last: then every field is set.
-    _swap: tuple | None = field(init=False, default=None, repr=False)
+    _swap: tuple | None = field(init=False, default=None)
 
     def __getattr__(self, name):
         # Reached for a name no slot held: a field of an unfilled tree, or one a fill set since.
@@ -125,19 +128,29 @@ class SpanningTree:
         )
 
     def __hash__(self):
-        return hash(self.edge_ids)
+        # O(k): what __eq__ compares, with the id count in place of the ids.
+        return hash((len(self._base) + len(self._part), self.stable_sum, self.unstable_members))
+
+    def __repr__(self):
+        if (swap := self._swap) is not None:  # read no field: that would fill the tree
+            _, tree, out, into = swap
+            return f"SpanningTree({tree!r} with {out} traded for {into}, unfilled)"
+        return (
+            f"SpanningTree(_base={self._base!r}, _part={self._part!r}, "
+            f"unstable_members={self.unstable_members!r}, stable_sum={self.stable_sum!r})"
+        )
 
 
-class _EdgeIds(Set):
-    """The ids of two disjoint frozensets, ``base`` and ``part``, read in place.
+class _EdgeIds(_FrozenIds):
+    """The ids of two disjoint sets, ``base`` and ``part``, read in place.
 
-    It equals and hashes as the frozenset of the same ids. An operator's
-    result, a pickle and a copy are frozensets.
+    ``base`` is the kernel's forced set, ``part`` a frozenset of kernel
+    edges. A pickle and a copy are frozensets.
     """
 
     __slots__ = ("_base", "_part")
 
-    def __init__(self, base: frozenset[int], part: frozenset[int]):
+    def __init__(self, base: Set[int], part: frozenset[int]):
         self._base, self._part = base, part
 
     def __contains__(self, eid) -> bool:
@@ -149,21 +162,12 @@ class _EdgeIds(Set):
     def __len__(self) -> int:
         return len(self._base) + len(self._part)
 
-    @classmethod
-    def _from_iterable(cls, ids) -> frozenset[int]:
-        return frozenset(ids)
-
     def __eq__(self, other):
         if type(other) is _EdgeIds and other._base is self._base:  # O(k): compare the parts
             return self._part == other._part
-        if not isinstance(other, Set):
-            return NotImplemented
-        if not isinstance(other, (set, frozenset)):  # once, so the tests below run in C
-            other = frozenset(other)
-        return len(self) == len(other) and self._base <= other and self._part <= other
+        return super().__eq__(other)
 
-    def __hash__(self):
-        return hash(frozenset(self))
+    __hash__ = _FrozenIds.__hash__
 
     def __reduce__(self):
         return frozenset, (tuple(self),)

@@ -49,6 +49,7 @@ import re
 import struct
 import sys
 from array import array
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -345,7 +346,8 @@ def _document(ps: PlanSet, g: WeaklyDynamicGraph, fingerprint: dict) -> dict:
     return {
         "version": _PLAN_FORMAT,
         "fingerprint": fingerprint,
-        "tree": [] if tree is None else sorted(tree._base | tree._part),
+        # One sorted run of forced ids and at most k more: no union set is built.
+        "tree": [] if tree is None else sorted(chain(tree._base, tree._part)),
         "plans": records,
     }
 

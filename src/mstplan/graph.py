@@ -11,9 +11,10 @@ float64 values, plus the ids of its unstable edges. Every reader reads
 the columns; ``edge(i)`` builds one :class:`Edge` from them per call.
 
 Every minimum spanning tree a graph can have is one fixed set of stable edges
-plus a tree of its small :class:`Kernel`. A graph comes from parsing or from
-:func:`build_graph`, and each is built with its kernel, whose build is the
-graph's connectivity check. Only copies share a kernel.
+plus a tree of its small :class:`Kernel`, which keeps that set as one sorted
+``array('q')`` of ids, with no int object per edge. A graph comes from
+parsing or from :func:`build_graph`, and each is built with its kernel, whose
+build is the graph's connectivity check. Only copies share a kernel.
 
 Graphs, and the trees and plans built on them, are safe to share read-only
 across threads; weight replacement needs exclusive access. No lock is taken.
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
+from collections.abc import Set
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import filterfalse
@@ -142,6 +145,58 @@ def _exact_sum(weights: list[float]) -> tuple[float, ...]:
     return tuple(parts)
 
 
+class _FrozenIds(Set):
+    """A read-only set of ids that equals and hashes as the frozenset of them.
+
+    An operator's result is a frozenset.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _from_iterable(cls, ids) -> frozenset[int]:
+        return frozenset(ids)
+
+    def __eq__(self, other):
+        if not isinstance(other, Set):
+            return NotImplemented
+        if not isinstance(other, (set, frozenset)):  # once, so the test below runs in C
+            other = frozenset(other)
+        return len(self) == len(other) and other.issuperset(self)
+
+    def __hash__(self):
+        return hash(frozenset(self))
+
+
+class _SortedIds(_FrozenIds):
+    """The distinct non-negative ``ids``, given in ascending order, as one ``array('q')``.
+
+    It keeps 8 bytes per id and no int object, and iterates in ascending
+    order. It pickles and copies as itself.
+    """
+
+    __slots__ = ("_ids",)
+
+    def __init__(self, ids: Iterable[int]):
+        self._ids = array("q", ids)
+
+    def __contains__(self, eid) -> bool:
+        # As in a frozenset: an id is its own hash, so only the id hash(eid) can equal eid.
+        key = hash(eid)
+        ids = self._ids
+        i = bisect_left(ids, key)
+        return i < len(ids) and ids[i] == key == eid
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __repr__(self):
+        return f"_SortedIds(<{len(self._ids)} ids>)"
+
+
 @dataclass(frozen=True, slots=True)
 class Kernel:
     """What a graph's minimum spanning trees share at any unstable values.
@@ -150,14 +205,16 @@ class Kernel:
     always ``forced`` plus a tree of the kernel graph (Eppstein, "Offline
     algorithms for dynamic minimum spanning tree problems", J. Algorithms
     1994). ``forced`` holds the stable edges Kruskal takes when every
-    unstable edge ranks first; contracting them leaves ``supers`` <= k + 1
-    super-vertices. The kernel's edges are the unstable ones and ``stable``,
-    the at most k other stable edges Kruskal then takes, each mapped to its
-    weight in ``(weight, id)`` order; ``_u`` and ``_v`` map each to the
-    super-vertices it joins, as two columns, the way ``_kruskal`` reads them.
+    unstable edge ranks first, as one sorted id array that every kernel
+    tree shares; contracting them leaves ``supers`` <= k + 1
+    super-vertices. The kernel's edges are the unstable ones and
+    ``stable``, the at most k other stable edges Kruskal then takes, each
+    mapped to its weight in ``(weight, id)`` order; ``_u`` and ``_v`` map
+    each to the super-vertices it joins, as two columns, the way
+    ``_kruskal`` reads them.
     """
 
-    forced: frozenset[int]
+    forced: _SortedIds
     supers: int
     stable: dict[int, float]
     _u: dict[int, int]
@@ -189,8 +246,9 @@ def _build_kernel(g: "WeaklyDynamicGraph") -> Kernel:
     _kruskal(forced, u, v, parent, len(forced))
     contracted = list(parent)  # a root per component of ``forced``; a path to it can be n long
     supers = n - len(forced)
-    forced = frozenset(forced)  # joins no two sets of ``parent`` now, so the search skips it
-    kernel_stable = _kruskal(filterfalse(forced.__contains__, stable), u, v, parent, supers - 1)
+    forced.sort()  # ascending, as the kernel keeps them
+    skip = frozenset(forced)  # joins no two sets of ``parent`` now, so the search skips it
+    kernel_stable = _kruskal(filterfalse(skip.__contains__, stable), u, v, parent, supers - 1)
     index: dict[int, int] = {}  # component root -> super-vertex
 
     def super_of(x: int) -> int:
@@ -204,7 +262,7 @@ def _build_kernel(g: "WeaklyDynamicGraph") -> Kernel:
     ends_v = {eid: super_of(v[eid]) for eid in edges}
     forced_sum = _exact_sum([weight[eid] for eid in forced])
     stable_weights = {eid: weight[eid] for eid in kernel_stable}
-    return Kernel(forced, supers, stable_weights, ends_u, ends_v, forced_sum)
+    return Kernel(_SortedIds(forced), supers, stable_weights, ends_u, ends_v, forced_sum)
 
 
 class WeaklyDynamicGraph:

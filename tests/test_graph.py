@@ -294,6 +294,21 @@ def test_a_parse_holds_and_keeps_little_memory():
     assert g.weight(eid) == before and other.weight(eid) == before + 0.5
 
 
+def test_a_kernel_keeps_no_int_object_per_forced_edge():
+    # The forced edges are one sorted array of 8-byte ids. A frozenset of
+    # them keeps some 85 bytes per edge: a hash slot and an int object.
+    g = generate_graph(10_000, 30_001, 8, 7)
+    tracemalloc.start()
+    try:
+        kernel = graph_module._build_kernel(g)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges == 40_000 and len(kernel.forced) > 9_900
+    assert kept <= 24 * len(kernel.forced)
+    assert kernel == g.kernel() and list(kernel.forced) == sorted(kernel.forced)
+
+
 def test_built_and_parsed_edges_are_frozen_edges():
     text = "p wdg 3 4\ne 0 1 2\ne 0 1 -0\nu 1 2 0.5\nu 0 2 7\n"
     specs = [(0, 1, 2, "stable"), (0, 1, -0.0, "stable"), (1, 2, 0.5, "unstable"), (0, 2, 7, "unstable")]

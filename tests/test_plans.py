@@ -882,6 +882,8 @@ def test_edge_ids_behave_as_the_frozenset_of_the_same_ids():
                 assert len(a) == len(fa) == n and hash(a) == hash(fa)
                 for eid in (-1, *range(g.num_edges + 1)):
                     assert (eid in a) is (eid in fa)
+                for eid in (True, False, 1.0, 0.5, "1", 2**61 + 1):  # matched by hash and ==
+                    assert (eid in a) is (eid in fa)
             probes = [frozenset(), everything, frozenset(rng.sample(sorted(everything), n))]
             for a, fa in zip(ids, plain):
                 j = rng.randrange(len(ids))
@@ -909,6 +911,105 @@ def test_edge_ids_pickle_and_copy_as_frozensets_and_show_their_ids_sorted():
     for twin in (pickle.loads(pickle.dumps(ids)), copy.copy(ids), copy.deepcopy(ids)):
         assert type(twin) is frozenset and twin == ids == {0, 1, 5}
     assert repr(ids).endswith("([0, 1, 5])")
+
+
+def test_kernel_forced_behaves_as_the_frozenset_of_the_same_ids():
+    # The forced set against the frozenset of its ids on every operation of
+    # the set contract, with frozensets, tree views and another kernel's
+    # forced set on either side. From no unstable edge to all of them.
+    rng = random.Random(3535)
+    previous = frozenset()
+    compared = 0
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        pairs = random_pairs(rng, n, rng.randint(0, 2 * n))
+        unstable = rng.sample(range(len(pairs)), rng.randint(0, len(pairs)))
+        g = build_graph(n, [
+            (u, v, rng.choice((0.5, 1, 2)), "unstable" if i in unstable else "stable")
+            for i, (u, v) in enumerate(pairs)
+        ])
+        forced = g.kernel().forced
+        plain = frozenset(sorted(forced))
+        assert list(forced) == sorted(plain) and len(forced) == len(plain)
+        assert hash(forced) == hash(plain)
+        for eid in (-1, *range(len(pairs) + 1), True, False, 1.0, 0.5, "1", 2**61 + 1, None):
+            assert (eid in forced) is (eid in plain)
+        with pytest.raises(TypeError):
+            [] in forced
+        for twin in (pickle.loads(pickle.dumps(forced)), copy.copy(forced), copy.deepcopy(forced)):
+            assert type(twin) is type(forced) and twin == forced and list(twin) == list(forced)
+        views = [
+            t.edge_ids
+            for p in precompute_all(g).plans.values()
+            for t in (p.mst_s, p.mst_v)
+            if t is not None
+        ]
+        others = [forced, plain, previous, frozenset(), frozenset(range(len(pairs))), *views]
+        for b in others:
+            fb = frozenset(b)
+            for x, y, fx, fy in ((forced, b, plain, fb), (b, forced, fb, plain)):
+                assert (x == y) is (fx == fy) and (x != y) is (fx != fy)
+                assert (x <= y) is (fx <= fy) and (x >= y) is (fx >= fy)
+                assert (x < y) is (fx < fy) and (x > y) is (fx > fy)
+                assert x.isdisjoint(y) is fx.isdisjoint(fy)
+                for op in (operator.or_, operator.and_, operator.sub, operator.xor):
+                    got = op(x, y)
+                    assert type(got) is frozenset and got == op(fx, fy)
+                compared += 1
+        previous = forced
+    assert compared > 600
+
+
+def test_a_pickled_or_copied_set_shares_one_forced_set_of_its_type():
+    g = generate_graph(300, 900, 5, 11)
+    ps = precompute_all(g)
+    forced = g.kernel().forced
+    for g2, ps2 in (pickle.loads(pickle.dumps((g, ps))), copy.deepcopy((g, ps))):
+        kernel = g2.kernel()
+        assert ps2._kernel is kernel and kernel.forced is not forced
+        assert type(kernel.forced) is type(forced) and kernel.forced == forced
+        trees = [t for p in ps2.plans.values() for t in (p.mst_s, p.mst_v) if t is not None]
+        assert len(trees) == 10 and all(t._base is kernel.forced for t in trees)
+        assert plans_to_json(ps2, g2) == plans_to_json(ps, g)
+
+
+def test_repr_names_the_forced_edges_by_count_and_fills_no_tree():
+    # At the change-mix benchmark's size. A repr that showed every tree's
+    # forced ids would take some 9 KB per tree, and one that read the
+    # fields of an unfilled tree would fill it.
+    g = generate_graph(1500, 4500, 6, 7)
+    ps = precompute_all(g)
+    trees = [t for p in ps.plans.values() for t in (p.mst_s, p.mst_v) if t is not None]
+    unfilled = [t for t in trees if t._swap is not None]
+    assert unfilled
+    text = repr(ps)
+    assert len(text) < 1024 * len(ps.plans)
+    assert all(t._swap is not None for t in unfilled)
+    count = f"<{len(g.kernel().forced)} ids>"
+    assert count in text and count in repr(g.kernel()) and len(repr(g.kernel())) < 1024
+    tree = unfilled[0]
+    shown = repr(tree)
+    tree._part  # fills it
+    assert tree._swap is None and count in repr(tree) and repr(tree) != shown
+
+
+def test_hashing_a_tree_builds_no_id_set():
+    # A tree hashes what == compares besides its ids, in O(k). Hashing its
+    # n - 1 ids would build a frozenset of some 0.5 MB per call here.
+    g = generate_graph(10_000, 30_000, 8, 7)
+    ps = precompute_all(g)
+    trees = [t for p in ps.plans.values() for t in (p.mst_s, p.mst_v) if t is not None]
+    hashes = [hash(t) for t in trees]  # fills the unfilled trees first
+    tracemalloc.start()
+    try:
+        for i in range(100):
+            hash(trees[i % len(trees)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
+    minimum = constrained_mst_kruskal(g)
+    assert minimum in trees and hash(minimum) in hashes
 
 
 def test_kept_answer_edge_ids_copy_no_tree():
